@@ -34,17 +34,19 @@ from .linalg import (
 )
 from .slices import (
     Trajectory,
+    as_time_grid,
     fractional_step,
     functional_step,
-    interpolating_field,
     is_irreducible,
     iterate_qr,
     qr_step,
     slice_point,
+    weighted_conjugate,
 )
 from .jacobi import (
     MoserCoordinates,
     is_jacobi,
+    is_tridiagonal,
     moser_coordinates,
     moser_reconstruct,
 )
@@ -61,9 +63,11 @@ from .toda import (
     flow_factorized_trajectory,
     flow_integrated,
     hamiltonian,
+    interpolating_field,
     inverse_flaschka,
     particle_field,
     particle_flow,
+    time_grid,
     toda_field,
 )
 from .polytope import (

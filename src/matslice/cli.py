@@ -38,6 +38,7 @@ from .toda import (
     flow_factorized_trajectory,
     flow_integrated,
     particle_flow,
+    time_grid,
 )
 
 
@@ -155,9 +156,9 @@ def _cmd_flow(args) -> int:
     if args.method == "factorized":
         final = flow_factorized(s, args.g, args.t)
         if args.traj:
-            grid = _sample_grid(args.t, args.dt)
             fileio.write_trajectory_csv(
-                flow_factorized_trajectory(s, args.g, grid), _dst(args.traj))
+                flow_factorized_trajectory(s, args.g, time_grid(args.t, args.dt)),
+                _dst(args.traj))
         fileio.write_matrix(final, _dst(args.out))
         return 0
     config = FlowConfig(g=args.g, t_final=args.t, dt=args.dt)
@@ -186,15 +187,6 @@ def _cmd_flow(args) -> int:
     }
     fileio.write_report(report, _dst(args.out))
     return 0
-
-
-def _sample_grid(t_final: float, dt: float) -> np.ndarray:
-    from .toda import _step_sizes
-
-    times = [0.0]
-    for h in _step_sizes(t_final, dt):
-        times.append(times[-1] + h)
-    return np.asarray(times)
 
 
 def _cmd_toda_particles(args) -> int:
@@ -239,18 +231,13 @@ def _cmd_random(args) -> int:
     if args.kind == "spectrum":
         lam = descending_spectrum(args.n, rng)
         doc = {"lambda": [float(v) for v in lam], **extras}
-        with fileio._opened(_dst(args.out), "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        return 0
-    if args.kind == "jacobi":
-        m = random_jacobi(args.n, rng, spectrum=args.spectrum)
     else:
-        m = random_symmetric(args.n, rng)
-    doc = {"n": int(m.shape[0]), "data": [float(v) for v in m.ravel()], **extras}
-    with fileio._opened(_dst(args.out), "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        if args.kind == "jacobi":
+            m = random_jacobi(args.n, rng, spectrum=args.spectrum)
+        else:
+            m = random_symmetric(args.n, rng)
+        doc = {"n": int(m.shape[0]), "data": [float(v) for v in m.ravel()], **extras}
+    fileio.write_report(doc, _dst(args.out))
     return 0
 
 

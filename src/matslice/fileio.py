@@ -118,7 +118,10 @@ def read_trajectory_csv(path_or_file) -> Trajectory:
         states.append(np.array(vals[1:]).reshape(n, n))
     if not times:
         raise InvalidFormat("trajectory CSV has no data rows")
-    return Trajectory(times=np.array(times), states=states)
+    try:
+        return Trajectory(times=np.array(times), states=states)
+    except ValueError as exc:
+        raise InvalidFormat(str(exc)) from exc
 
 
 def write_particle_csv(traj: ParticleTrajectory, path_or_file):
@@ -146,19 +149,22 @@ def read_particle_csv(path_or_file) -> ParticleTrajectory:
     if width % 2 or width < 4:
         raise InvalidFormat("particle CSV header does not describe x/y columns")
     n = width // 2
-    times, states = [], []
+    samples = []
     for k, row in enumerate(rows[1:], start=2):
         if len(row) != width + 2:
             raise InvalidFormat(f"particle CSV line {k} has {len(row)} fields, wanted {width + 2}")
         try:
-            vals = [float(v) for v in row]
+            samples.append([float(v) for v in row])
         except ValueError as exc:
             raise InvalidFormat(f"particle CSV line {k}: {exc}") from exc
-        times.append(vals[0])
-        states.append(TodaState(x=np.array(vals[1:1 + n]), y=np.array(vals[1 + n:1 + 2 * n])))
-    if not times:
+    if not samples:
         raise InvalidFormat("particle CSV has no data rows")
-    return ParticleTrajectory(times=np.array(times), states=states)
+    vals = np.array(samples)
+    try:
+        states = [TodaState(x=row[1:1 + n], y=row[1 + n:1 + 2 * n]) for row in vals]
+        return ParticleTrajectory(times=vals[:, 0], states=states)
+    except ValueError as exc:
+        raise InvalidFormat(str(exc)) from exc
 
 
 def write_toda_state(state: TodaState, path_or_file):

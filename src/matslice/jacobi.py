@@ -17,22 +17,27 @@ import numpy as np
 from .errors import NotJacobi, ReconstructionFailure
 from .linalg import as_symmetric, frobenius, spectral_decompose
 
-TRIDIAG_RTOL = 1e-14        # band check tolerance, relative to ||s||
+TRIDIAG_RTOL = 1e-12        # band check tolerance, relative to ||s||
 WEIGHT_FLOOR = 1e-10        # refuse reconstruction below this first-coordinate size
 LANCZOS_BREAKDOWN = 1e-12   # off-diagonal breakdown threshold inside Lanczos
 COORDINATE_GAP_RTOL = 1e-9  # descending-eigenvalue gap required of coordinates
 
 
+def is_tridiagonal(s) -> bool:
+    """No entry off the tridiagonal band exceeds 1e-12 * ||s|| in magnitude.
+
+    The tolerance leaves room for the roundoff of QR-type steps and flows,
+    which keep the band only up to a few 1e-14 * ||s||.
+    """
+    a = np.asarray(s, dtype=float)
+    off_band = np.triu(a, 2) + np.tril(a, -2)  # disjoint supports: the sum is exact
+    return bool(np.abs(off_band).max() <= TRIDIAG_RTOL * frobenius(a))
+
+
 def is_jacobi(s) -> bool:
-    """Tridiagonal within 1e-14 * ||s|| off the band, with superdiagonal > 0."""
+    """Tridiagonal within 1e-12 * ||s|| off the band, with superdiagonal > 0."""
     a = as_symmetric(s)
-    n = a.shape[0]
-    tol = TRIDIAG_RTOL * frobenius(a)
-    for i in range(n):
-        for j in range(i + 2, n):
-            if abs(a[i, j]) > tol:
-                return False
-    return bool(np.all(np.diag(a, 1) > 0.0))
+    return is_tridiagonal(a) and bool(np.all(np.diag(a, 1) > 0.0))
 
 
 @dataclass

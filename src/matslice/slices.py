@@ -1,15 +1,18 @@
 """QR-type steps on symmetric matrices and the slice structure they live on.
 
 A slice here is the set of symmetric matrices reachable from a starting point
-by conjugating with the orthogonal factor of f(S) for strictly positive
-functions f of the spectrum.  One QR step (factor, swap, multiply) is the
-f(x) = x case; general f gives ``functional_step``; the k-th root gives
-fractional steps whose rescaled differences converge to the interpolating
-vector field [S, skew_part(log S)].
+by conjugating with the orthogonal factor of f(S) for functions f that do not
+vanish on the spectrum.  In the eigenbasis that is one operation,
+``weighted_conjugate``: one QR step (factor, swap, multiply) is the f(x) = x
+case, general f gives ``functional_step``, positive weights give
+``slice_point``, and exp(t g) gives the Toda/Lax flows of ``toda``.  The k-th
+root gives fractional steps whose rescaled differences converge to the
+interpolating vector field [S, skew_part(log S)].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,19 +21,29 @@ import numpy as np
 from .errors import DomainViolation, SingularMatrix
 from .linalg import (
     SpectralFunction,
-    apply_function,
     as_symmetric,
-    commutator,
     eigensystem,
     frobenius,
     function_values,
     qr_factor,
-    skew_part,
     spectral_decompose,
     symmetrize,
 )
 
 IRREDUCIBLE_RTOL = 1e-12  # off-diagonal coupling threshold for the adjacency graph
+_EXP_SPREAD_LIMIT = 700.0  # beyond this, weight ratios underflow double precision
+
+
+def as_time_grid(times) -> np.ndarray:
+    """Sample times as a float array: nonempty, 1-d, finite, strictly increasing."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) == 0:
+        raise ValueError("need a nonempty 1-d time grid")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be finite")
+    if np.any(np.diff(times) <= 0.0):
+        raise ValueError("sample times must be strictly increasing")
+    return times
 
 
 @dataclass
@@ -41,15 +54,9 @@ class Trajectory:
     states: list[np.ndarray]
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.ndim != 1 or len(self.times) != len(self.states):
+        self.times = as_time_grid(self.times)
+        if len(self.times) != len(self.states):
             raise ValueError("times and states must align one to one")
-        if len(self.states) == 0:
-            raise ValueError("a trajectory needs at least one sample")
-        if not np.all(np.isfinite(self.times)):
-            raise ValueError("sample times must be finite")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("sample times must be strictly increasing")
         n = self.states[0].shape[0]
         for state in self.states:
             if state.shape != (n, n):
@@ -67,6 +74,38 @@ class Trajectory:
         return self.states[-1]
 
 
+def weighted_conjugate(lam, q, w) -> np.ndarray:
+    """Q.T diag(lam) Q, where Q is the orthogonal QR factor of diag(w) @ q.
+
+    With s = q.T diag(lam) q (eigenvectors in the rows of q) this is s
+    conjugated by the orthogonal factor of q.T diag(w) q: the one operation
+    behind every slice move, with w = f(lam) for a functional step, the
+    weights of a slice point, or exp(t g(lam)) for a Lax flow at time t.
+    The signs of w drop out and only its ratios matter; w is divided by its
+    largest magnitude, which is exact under power-of-two scaling.  Raises
+    SingularMatrix when the smallest ratio is below e^-700, an exponent
+    spread that double precision cannot resolve.
+    """
+    w = np.abs(np.asarray(w, dtype=float))
+    with np.errstate(invalid="ignore"):  # a zero or infinite maximum gives NaN, refused below
+        w = w / w.max()
+    smallest = float(w.min())
+    if not smallest >= math.exp(-_EXP_SPREAD_LIMIT):
+        raise SingularMatrix(
+            f"smallest weight ratio {smallest:.3e} is below e^-{_EXP_SPREAD_LIMIT:.0f}; "
+            "the weighted QR factor is undefined in double precision"
+        )
+    # Householder elimination only keeps the faint rows accurate when the
+    # dominant rows come first; factor the row-sorted matrix instead and
+    # undo the permutation on the orthogonal factor.  P^T Qtilde is
+    # orthogonal and Rtilde stays upper with positive diagonal, so by
+    # uniqueness this *is* the orthogonal factor of diag(w) q itself.
+    order = np.argsort(-w, kind="stable")
+    qtilde, _ = qr_factor(w[order, None] * q[order, :], singular_rtol=0.0)
+    qf = qtilde[np.argsort(order), :]
+    return symmetrize((qf.T * lam) @ qf)
+
+
 def qr_step(s) -> np.ndarray:
     """One QR step: s = q r  ->  r q (equivalently q.T s q, or r s r^-1).
 
@@ -81,22 +120,16 @@ def functional_step(s, f: SpectralFunction) -> np.ndarray:
     """Conjugate s by the orthogonal factor of f(s).
 
     ``f`` must be defined on the spectrum of ``s`` (DomainViolation
-    otherwise) and f(s) must be invertible (SingularMatrix otherwise);
-    negative values are fine.  For f(x) = x^k this is exactly k plain QR
-    steps; scaling f by a positive constant does not change the result.
+    otherwise) and must not vanish on it (SingularMatrix otherwise);
+    negative values are fine.  The identity gives the plain QR step, and
+    f(x) = x^k exactly k of them; scaling f by a positive constant does not
+    change the result.
     """
+    if f.kind == "identity":
+        return qr_step(s)
     a = as_symmetric(s)
     lam, q = eigensystem(a)
-    w = function_values(f, lam, frobenius(a))
-    wabs = np.abs(w)
-    if float(wabs.min()) <= 1e-12 * float(wabs.max()):
-        raise SingularMatrix(
-            f"step function vanishes on the spectrum (smallest |value| "
-            f"{float(wabs.min()):.3e}); the QR step is undefined"
-        )
-    fs = a if f.kind == "identity" else symmetrize((q.T * w) @ q)
-    qf, _ = qr_factor(fs)
-    return symmetrize(qf.T @ a @ qf)
+    return weighted_conjugate(lam, q, function_values(f, lam, frobenius(a)))
 
 
 def fractional_step(s, k: int) -> np.ndarray:
@@ -107,17 +140,6 @@ def fractional_step(s, k: int) -> np.ndarray:
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError("k must be a positive integer")
     return functional_step(s, SpectralFunction.power(Fraction(1, int(k))))
-
-
-def interpolating_field(s) -> np.ndarray:
-    """Vector field [s, skew_part(log s)] interpolating the QR iteration.
-
-    Defined for strictly positive spectra; the rescaled fractional-step
-    differences (fractional_step(s, k) - s) * k converge to this field as
-    k grows.
-    """
-    a = as_symmetric(s)
-    return symmetrize(commutator(a, skew_part(apply_function(a, SpectralFunction.log()))))
 
 
 def iterate_qr(s, steps: int, f: SpectralFunction = SpectralFunction.identity()) -> Trajectory:
@@ -135,11 +157,11 @@ def iterate_qr(s, steps: int, f: SpectralFunction = SpectralFunction.identity())
 def slice_point(s, w) -> np.ndarray:
     """Point of the slice through ``s`` selected by positive spectral weights.
 
-    Builds q.T diag(w) q in the eigenbasis of ``s`` (eigenvalues descending),
-    QR-factors it, and conjugates ``s`` by the orthogonal factor.  Weights are
-    normalized internally, so w and c*w (c > 0) give the same point.  Raises
-    DomainViolation for nonpositive weights and DegenerateSpectrum when the
-    spectrum of ``s`` is not simple.
+    Conjugates ``s`` by the orthogonal factor of q.T diag(w) q, with q the
+    eigenbasis of ``s`` (eigenvalues descending); see ``weighted_conjugate``.
+    Only weight ratios matter, so w and c*w (c > 0) give the same point.
+    Raises DomainViolation for nonpositive weights and DegenerateSpectrum
+    when the spectrum of ``s`` is not simple.
     """
     a = as_symmetric(s)
     w = np.asarray(w, dtype=float)
@@ -149,11 +171,8 @@ def slice_point(s, w) -> np.ndarray:
         raise ValueError("weights must be finite")
     if float(w.min()) <= 0.0:
         raise DomainViolation("slice weights must be strictly positive")
-    w = w / float(np.linalg.norm(w))
     dec = spectral_decompose(a)
-    fs = symmetrize((dec.q.T * w) @ dec.q)
-    qf, _ = qr_factor(fs)
-    return symmetrize(qf.T @ a @ qf)
+    return weighted_conjugate(dec.lam, dec.q, w)
 
 
 def is_irreducible(s) -> bool:

@@ -28,26 +28,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotTridiagonal, SingularMatrix
-from .jacobi import is_jacobi
-from .errors import NotJacobi
+from .errors import NotJacobi, NotTridiagonal
+from .jacobi import is_jacobi, is_tridiagonal
 from .linalg import (
     SpectralFunction,
     apply_function,
     as_symmetric,
-    commutator,
     eigensystem,
     frobenius,
     function_values,
     offdiag_norm,
-    qr_factor,
-    skew_part,
     symmetrize,
 )
-from .slices import Trajectory
+from .slices import Trajectory, as_time_grid, weighted_conjugate
 
-_EXP_SPREAD_LIMIT = 700.0  # beyond this, weight ratios underflow double precision
-TRIDIAG_BAND_RTOL = 1e-12
 CONVERGED_RTOL = 1e-6
 DEFAULT_BOND_TOL = 1e-8
 
@@ -93,15 +87,7 @@ class FlowConfig:
     def __post_init__(self):
         self.t_final = float(self.t_final)
         self.dt = float(self.dt)
-        if not math.isfinite(self.t_final) or not math.isfinite(self.dt):
-            raise ValueError("times must be finite")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_final < 0.0:
-            raise ValueError(
-                "t_final must be nonnegative; run the negated function "
-                "for a time-reversed flow"
-            )
+        _check_span(self.t_final, self.dt)
         if self.t_final > 0.0 and self.dt > self.t_final:
             raise ValueError("dt must not exceed t_final")
         if self.method not in ("factorized", "integrated"):
@@ -116,13 +102,9 @@ class ParticleTrajectory:
     states: list[TodaState]
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.ndim != 1 or len(self.times) != len(self.states):
+        self.times = as_time_grid(self.times)
+        if len(self.times) != len(self.states):
             raise ValueError("times and states must align one to one")
-        if len(self.states) == 0:
-            raise ValueError("a trajectory needs at least one sample")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("sample times must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -183,39 +165,39 @@ def inverse_flaschka(j) -> TodaState:
 
 def particle_field(state: TodaState) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of Hamilton's equations for the particle system."""
-    x, y = state.x, state.y
-    forces = np.exp(x[:-1] - x[1:])
-    dy = np.zeros_like(y)
+    dx, dy = _hamilton_field(np.vstack([state.x, state.y]))
+    return dx, dy
+
+
+def _hamilton_field(z: np.ndarray) -> np.ndarray:
+    # z stacks positions over momenta
+    forces = np.exp(z[0, :-1] - z[0, 1:])
+    dy = np.zeros_like(z[1])
     dy[:-1] -= forces
     dy[1:] += forces
-    return y.copy(), dy
+    return np.vstack([z[1], dy])
 
 
 def toda_field(s, g: SpectralFunction) -> np.ndarray:
     """Lax vector field [s, skew_part(g(s))]; g must be defined on the spectrum."""
-    a = as_symmetric(s)
-    return symmetrize(commutator(a, skew_part(apply_function(a, g))))
+    return _lax_field(as_symmetric(s), g)
 
 
-def _flow_sample(lam: np.ndarray, q: np.ndarray, vals: np.ndarray, t: float) -> np.ndarray:
-    exponents = float(t) * vals
-    exponents = exponents - exponents.max()
-    if float(exponents.min()) < -_EXP_SPREAD_LIMIT:
-        raise SingularMatrix(
-            f"time {t} spreads the exponents of exp(t*g(lam)) over "
-            f"{float(-exponents.min()):.1f} > {_EXP_SPREAD_LIMIT:.0f}; "
-            "the weight ratios underflow double precision"
-        )
-    weights = np.exp(exponents)
-    # Householder elimination only keeps the faint rows accurate when the
-    # dominant rows come first; factor the row-sorted matrix instead and
-    # undo the permutation on the orthogonal factor.  P^T Qtilde is
-    # orthogonal and Rtilde stays upper with positive diagonal, so by
-    # uniqueness this *is* the orthogonal factor of diag(w) q itself.
-    order = np.argsort(-exponents, kind="stable")
-    qtilde, _ = qr_factor(weights[order, None] * q[order, :], singular_rtol=0.0)
-    qf = qtilde[np.argsort(order), :]
-    return symmetrize((qf.T * lam) @ qf)
+def _lax_field(a: np.ndarray, g: SpectralFunction) -> np.ndarray:
+    # trusted: a is a validated, exactly symmetric float array
+    lower = np.tril(a if g.kind == "identity" else apply_function(a, g), -1)
+    skew = lower - lower.T  # the skew_part formula, without its validation
+    return symmetrize(a @ skew - skew @ a)
+
+
+def interpolating_field(s) -> np.ndarray:
+    """Vector field [s, skew_part(log s)] interpolating the QR iteration.
+
+    Defined for strictly positive spectra; the rescaled fractional-step
+    differences (fractional_step(s, k) - s) * k converge to this field as
+    k grows.
+    """
+    return toda_field(s, SpectralFunction.log())
 
 
 def flow_factorized(s0, g: SpectralFunction, t: float) -> np.ndarray:
@@ -228,10 +210,7 @@ def flow_factorized(s0, g: SpectralFunction, t: float) -> np.ndarray:
     remaining spread exceeds ~700 the ratios underflow double precision and
     SingularMatrix is raised.
     """
-    a = as_symmetric(s0)
-    lam, q = eigensystem(a)
-    vals = function_values(g, lam, frobenius(a))
-    return _flow_sample(lam, q, vals, t)
+    return flow_factorized_trajectory(s0, g, [t]).final
 
 
 def flow_factorized_trajectory(s0, g: SpectralFunction, times) -> Trajectory:
@@ -239,91 +218,72 @@ def flow_factorized_trajectory(s0, g: SpectralFunction, times) -> Trajectory:
 
     Decomposes once and reuses the eigenbasis for every sample.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ValueError("need a nonempty 1-d time grid")
+    times = as_time_grid(times)
     a = as_symmetric(s0)
     lam, q = eigensystem(a)
     vals = function_values(g, lam, frobenius(a))
-    states = [_flow_sample(lam, q, vals, t) for t in times]
+    states = []
+    for t in times:
+        exponents = t * vals
+        states.append(weighted_conjugate(lam, q, np.exp(exponents - exponents.max())))
     return Trajectory(times=times, states=states)
 
 
-def _step_sizes(t_final: float, dt: float) -> list[float]:
-    if t_final == 0.0:
-        return []
+def time_grid(t_final: float, dt: float) -> np.ndarray:
+    """Sample times 0, dt, 2 dt, ..., ending on t_final.
+
+    When dt does not divide t_final the last step is the shorter remainder;
+    a remainder below 1e-12 * dt counts as roundoff and is dropped.
+    """
+    t_final, dt = float(t_final), float(dt)
+    _check_span(t_final, dt)
     nfull = int(math.floor(t_final / dt + 1e-9))
-    sizes = [dt] * nfull
     rem = t_final - nfull * dt
-    if rem > 1e-12 * dt:
-        sizes.append(rem)
-    return sizes
+    steps = [dt] * nfull + ([rem] if rem > 1e-12 * dt else [])
+    return np.cumsum([0.0] + steps)
+
+
+def _check_span(t_final: float, dt: float):
+    if not (math.isfinite(t_final) and math.isfinite(dt)):
+        raise ValueError("times must be finite")
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if t_final < 0.0:
+        raise ValueError(
+            "t_final must be nonnegative; negate the driving function "
+            "(or flip the momenta) for a time-reversed flow"
+        )
+
+
+def _rk4(field, z: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
+    """Classical RK4 on dz/dt = field(z) from z at times[0]; the state at every time."""
+    states = [z]
+    for h in np.diff(times):
+        k1 = field(z)
+        k2 = field(z + 0.5 * h * k1)
+        k3 = field(z + 0.5 * h * k2)
+        k4 = field(z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(z)
+    return states
 
 
 def flow_integrated(s0, config: FlowConfig) -> Trajectory:
-    """Classical RK4 on the Lax field, symmetrizing and recording every step."""
-    state = as_symmetric(s0)
+    """Classical RK4 on the Lax field, recording every step.
+
+    The field is exactly symmetric, so every state stays exactly symmetric.
+    """
+    times = time_grid(config.t_final, config.dt)
     g = config.g
-
-    def rhs(m: np.ndarray) -> np.ndarray:
-        return toda_field(m, g)
-
-    times = [0.0]
-    states = [state]
-    t = 0.0
-    for h in _step_sizes(config.t_final, config.dt):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = symmetrize(state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        t += h
-        times.append(t)
-        states.append(state)
-    return Trajectory(times=np.asarray(times), states=states)
+    states = _rk4(lambda a: _lax_field(a, g), as_symmetric(s0), times)
+    return Trajectory(times=times, states=states)
 
 
 def particle_flow(state0: TodaState, t_final: float, dt: float) -> ParticleTrajectory:
     """Classical RK4 on Hamilton's equations, recording every step."""
-    t_final = float(t_final)
-    dt = float(dt)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_final < 0.0:
-        raise ValueError("t_final must be nonnegative; reverse time by flipping momenta")
-    x = state0.x.copy()
-    y = state0.y.copy()
-
-    def rhs(z: np.ndarray) -> np.ndarray:
-        forces = np.exp(z[0, :-1] - z[0, 1:])
-        dy = np.zeros_like(z[1])
-        dy[:-1] -= forces
-        dy[1:] += forces
-        return np.vstack([z[1], dy])
-
-    z = np.vstack([x, y])
-    times = [0.0]
-    states = [TodaState(x=x, y=y)]
-    t = 0.0
-    for h in _step_sizes(t_final, dt):
-        k1 = rhs(z)
-        k2 = rhs(z + 0.5 * h * k1)
-        k3 = rhs(z + 0.5 * h * k2)
-        k4 = rhs(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        times.append(t)
-        states.append(TodaState(x=z[0].copy(), y=z[1].copy()))
-    return ParticleTrajectory(times=np.asarray(times), states=states)
-
-
-def _band_violation(a: np.ndarray) -> float:
-    n = a.shape[0]
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 2, n):
-            worst = max(worst, abs(a[i, j]), abs(a[j, i]))
-    return worst
+    times = time_grid(t_final, dt)
+    zs = _rk4(_hamilton_field, np.vstack([state0.x, state0.y]), times)
+    return ParticleTrajectory(times=times, states=[TodaState(x=z[0], y=z[1]) for z in zs])
 
 
 def detect_clusters(s, tol: float = DEFAULT_BOND_TOL) -> ClusterPartition:
@@ -332,7 +292,7 @@ def detect_clusters(s, tol: float = DEFAULT_BOND_TOL) -> ClusterPartition:
     Raises NotTridiagonal for input with entries outside the band.
     """
     a = as_symmetric(s)
-    if _band_violation(a) > TRIDIAG_BAND_RTOL * frobenius(a):
+    if not is_tridiagonal(a):
         raise NotTridiagonal("cluster detection needs a tridiagonal matrix")
     n = a.shape[0]
     bonds = np.diag(a, 1)
@@ -413,7 +373,7 @@ def convergence_diagnostics(traj: Trajectory, bond_tol: float = DEFAULT_BOND_TOL
     spectrum, _ = eigensystem(traj.states[0])
     final = traj.final
     broken: tuple[int, ...] = ()
-    if _band_violation(final) <= TRIDIAG_BAND_RTOL * frobenius(final):
+    if is_tridiagonal(final):
         broken = detect_clusters(final, bond_tol).broken_bonds
     return ConvergenceReport(
         times=traj.times.copy(),

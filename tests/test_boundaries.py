@@ -1,0 +1,57 @@
+"""The modules of matslice reach each other through public names only.
+
+A leading underscore marks a name as internal to the module that defines it;
+another module that reads it couples itself to that module's internals.
+"""
+
+import ast
+from pathlib import Path
+
+import matslice
+
+PACKAGE = Path(matslice.__file__).parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def dotted(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value)
+        return None if head is None else f"{head}.{node.attr}"
+    return None
+
+
+def private_reads(path: Path) -> list[str]:
+    """Each import or attribute read of another matslice module's private name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = set()   # local names bound to matslice modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "matslice":
+                continue
+            for alias in node.names:
+                if alias.name in MODULES:
+                    modules.add(alias.asname or alias.name)
+                elif is_private(alias.name):
+                    found.append(f"{path.name}:{node.lineno}: imports {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "matslice":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and is_private(node.attr):
+            owner = dotted(node.value)
+            if owner in modules or (owner or "").startswith("matslice."):
+                found.append(f"{path.name}:{node.lineno}: reads {owner}.{node.attr}")
+    return found
+
+
+def test_modules_read_no_private_names_of_each_other():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in private_reads(path)]
+    assert not found, "\n".join(found)

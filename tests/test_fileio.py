@@ -118,6 +118,17 @@ def test_trajectory_csv_rejections():
         read_trajectory_csv(io.StringIO("t,a11,a12,a21,a22\n"))
 
 
+# Second sample times that break a strictly increasing, finite time grid.
+BAD_TIMES = pytest.mark.parametrize("t1", ["nan", "inf", "-inf", "0", "-1"])
+
+
+@BAD_TIMES
+def test_trajectory_csv_rejects_bad_times(t1):
+    text = f"t,a11,a12,a21,a22\n0,1,0,0,1\n{t1},1,0,0,1\n"
+    with pytest.raises(InvalidFormat):
+        read_trajectory_csv(io.StringIO(text))
+
+
 # ----------------------------------------------------------------- particles
 
 def test_particle_csv_round_trip():
@@ -142,6 +153,18 @@ def test_particle_csv_rejections():
         read_particle_csv(io.StringIO("a,b,c,d,e,f\n"))
     with pytest.raises(InvalidFormat):
         read_particle_csv(io.StringIO("t,x1,x2,y1,y2,H\n0,1,2,3,4\n"))
+
+
+@BAD_TIMES
+def test_particle_csv_rejects_bad_times(t1):
+    text = f"t,x1,x2,y1,y2,H\n0,0,0,0,0,1\n{t1},0,0,0,0,1\n"
+    with pytest.raises(InvalidFormat):
+        read_particle_csv(io.StringIO(text))
+
+
+def test_particle_csv_rejects_non_finite_state():
+    with pytest.raises(InvalidFormat):
+        read_particle_csv(io.StringIO("t,x1,x2,y1,y2,H\n0,nan,0,0,0,1\n"))
 
 
 def test_toda_state_round_trip():

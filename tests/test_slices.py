@@ -8,6 +8,8 @@ from matslice import (
     SingularMatrix,
     SpectralFunction,
     Trajectory,
+    default_rng,
+    descending_spectrum,
     eigensystem,
     fractional_step,
     frobenius,
@@ -15,6 +17,7 @@ from matslice import (
     function_values,
     interpolating_field,
     is_irreducible,
+    is_jacobi,
     iterate_qr,
     offdiag_norm,
     qr_factor,
@@ -86,6 +89,32 @@ def test_functional_power_k_equals_k_plain_steps():
                 stepped = qr_step(stepped)
             via_power = functional_step(s, SpectralFunction.power(k))
             npt.assert_allclose(via_power, stepped, atol=1e-9 * frobenius(s))
+
+
+def test_functional_large_powers_match_plain_steps():
+    # spectrum ratio 40: the weights of x^8 span 40^8 ~ 6.6e12, and of x^6
+    # 4.1e9; the weighted QR factorization must still resolve the faint rows
+    rng = np.random.default_rng(1)
+    s = random_with_spectrum([8.0, 4.0, 1.0, 0.2], rng)
+    walked = s
+    for k in range(1, 9):
+        walked = qr_step(walked)
+        if k == 6:
+            six = functional_step(s, SpectralFunction.power(6))
+            assert maxabs(six - walked) < 1e-13 * frobenius(s)
+    eight = functional_step(s, SpectralFunction.power(8))
+    assert maxabs(eight - walked) < 1e-12 * frobenius(s)
+
+
+def test_power_steps_keep_jacobi_matrices_jacobi():
+    # QR-type steps preserve the tridiagonal slice; drawn as the command line
+    # draws random Jacobi matrices, one seed per matrix
+    rng = default_rng(0)
+    for i in range(100):
+        n = (8, 12, 16, 32)[i % 4]
+        lam = descending_spectrum(n, rng, lo=1.0, hi=1.0 + 0.5 * n, min_gap=0.05)
+        j = random_jacobi(n, default_rng(int(rng.integers(2**31))), spectrum=lam)
+        assert is_jacobi(functional_step(j, SpectralFunction.power(2))), (i, n)
 
 
 def test_functional_step_indefinite_odd_power():
