@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotJacobi, ReconstructionFailure
-from .linalg import as_symmetric, frobenius, spectral_decompose
+from .linalg import as_square, as_symmetric, frobenius, spectral_decompose
 
 TRIDIAG_RTOL = 1e-12        # band check tolerance, relative to ||s||
 WEIGHT_FLOOR = 1e-10        # refuse reconstruction below this first-coordinate size
@@ -27,9 +27,10 @@ def is_tridiagonal(s) -> bool:
     """No entry off the tridiagonal band exceeds 1e-12 * ||s|| in magnitude.
 
     The tolerance leaves room for the roundoff of QR-type steps and flows,
-    which keep the band only up to a few 1e-14 * ||s||.
+    which keep the band only up to a few 1e-14 * ||s||.  The input must be
+    a finite square matrix of dimension >= 2, as everywhere else.
     """
-    a = np.asarray(s, dtype=float)
+    a = as_square(s)
     off_band = np.triu(a, 2) + np.tril(a, -2)  # disjoint supports: the sum is exact
     return bool(np.abs(off_band).max() <= TRIDIAG_RTOL * frobenius(a))
 

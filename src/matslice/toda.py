@@ -256,7 +256,11 @@ def _check_span(t_final: float, dt: float):
 
 
 def _rk4(field, z: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
-    """Classical RK4 on dz/dt = field(z) from z at times[0]; the state at every time."""
+    """Classical RK4 on dz/dt = field(z) from z at times[0]; the state at every time.
+
+    Raises ValueError as soon as a step leaves the finite numbers, which is
+    how a step size too large for the field shows.
+    """
     states = [z]
     for h in np.diff(times):
         k1 = field(z)
@@ -264,6 +268,8 @@ def _rk4(field, z: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
         k3 = field(z + 0.5 * h * k2)
         k4 = field(z + h * k3)
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(z)):
+            raise ValueError("integrated state is no longer finite; reduce dt")
         states.append(z)
     return states
 

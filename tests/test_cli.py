@@ -191,6 +191,17 @@ def test_not_jacobi_exits_one(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "NotJacobi"
 
 
+@pytest.mark.parametrize("method", ["integrated", "both"])
+def test_diverging_flow_exits_one(tmp_path, capsys, method):
+    src = tmp_path / "s.json"
+    write_matrix(np.array([[3.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, -2.0]]), src)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("flow", "--in", src, "--g", "identity", "--t", "20", "--dt", "1",
+                   "--method", method, "--out", tmp_path / "out.json") == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_bad_function_string_exits_two(tmp_path, jacobi_file, capsys):
     assert run("step", "--in", jacobi_file, "--f", "sinh", "--out", "-") == 2
     assert run("step", "--in", jacobi_file, "--f", "pow:x", "--out", "-") == 2

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from matslice import (
+    DimensionMismatch,
     MoserCoordinates,
     NotJacobi,
     ReconstructionFailure,
@@ -13,6 +14,7 @@ from matslice import (
     flow_factorized,
     function_values,
     is_jacobi,
+    is_tridiagonal,
     moser_coordinates,
     moser_reconstruct,
     random_jacobi,
@@ -29,6 +31,17 @@ def test_is_jacobi_cases():
     assert not is_jacobi(bad)
     full = np.ones((3, 3)) + np.diag([1.0, 2.0, 3.0])        # outside the band
     assert not is_jacobi(full)
+
+
+def test_is_tridiagonal_validates_its_input():
+    assert is_tridiagonal(np.diag([3.0, 2.0, 1.0]))
+    assert not is_tridiagonal(np.ones((3, 3)))
+    assert is_tridiagonal(np.triu(np.tril(np.ones((4, 4)), 1), -1) + np.diag([1.0, 2.0, 3.0, 4.0]))
+    for bad in (np.ones(4), np.zeros((0, 0)), np.zeros((1, 1)), np.ones((3, 4))):
+        with pytest.raises(DimensionMismatch):
+            is_tridiagonal(bad)
+    with pytest.raises(ValueError):
+        is_tridiagonal(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_moser_coordinates_2x2_by_hand():

@@ -257,6 +257,18 @@ def test_flow_config_validation():
     assert len(flow_integrated(np.diag([2.0, 1.0]), cfg)) == 1
 
 
+def test_diverging_integration_raises():
+    # RK4 with dt far beyond the field's time scale leaves the finite
+    # numbers; that must raise, not return a trajectory of inf and NaN
+    s = np.array([[3.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, -2.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            flow_integrated(s, FlowConfig(g=IDENTITY, t_final=20.0, dt=1.0))
+        with pytest.raises(ValueError):
+            particle_flow(TodaState(x=np.array([0.0, 2.0, -1.0]),
+                                    y=np.array([5.0, 0.0, -5.0])), 20.0, 2.0)
+
+
 # --------------------------------------------------------- particle dynamics
 
 def test_particle_flow_conserves_energy():
