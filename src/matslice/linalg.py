@@ -133,7 +133,12 @@ def eigensystem(s) -> tuple[np.ndarray, np.ndarray]:
     Sweeps run until the off-diagonal Frobenius norm drops below
     ``1e-13 * ||s||``.
     """
-    a = as_symmetric(s)
+    return _jacobi_eigensystem(as_symmetric(s))
+
+
+def _jacobi_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep behind ``eigensystem``, on a validated symmetric matrix (left unchanged)."""
+    a = a.copy()
     n = a.shape[0]
     scale = frobenius(a)
     tol = JACOBI_SWEEP_RTOL * scale
@@ -331,7 +336,7 @@ def apply_function(s, f: SpectralFunction) -> np.ndarray:
     a = as_symmetric(s)
     if f.kind == "identity":
         return a
-    lam, q = eigensystem(a)
+    lam, q = _jacobi_eigensystem(a)
     w = function_values(f, lam, frobenius(a))
     return symmetrize((q.T * w) @ q)
 

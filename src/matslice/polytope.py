@@ -8,9 +8,11 @@ rows q, the squared eigenvector matrix sends the spectrum to the point
 which always lies in the convex hull of the n! permutations of lam (the
 permutohedron of the spectrum).  Vertices of that hull reachable by the
 long-time limits of isospectral flows are detected by nested leading minors
-of the eigenvector matrix.  Membership in the hull is decided two independent
-ways: a phase-1 simplex on the convex-combination equations, and the
-majorization inequalities on sorted prefix sums.
+of the eigenvector matrix; |det| of a leading minor does not depend on the
+order of its rows, so each row set is factored once.  Membership in the hull
+is decided two independent ways: a phase-1 simplex looking for a doubly
+stochastic D with p = D lam (Hardy-Littlewood-Polya, Birkhoff-von Neumann),
+and the majorization inequalities on sorted prefix sums.
 """
 
 from __future__ import annotations
@@ -52,12 +54,17 @@ class VertexSet:
         return len(self.perms)
 
 
-def _validate_spectrum(lam) -> np.ndarray:
+def _as_spectrum(lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1 or len(lam) < 2:
         raise ValueError("need a 1-d spectrum with at least two values")
     if not np.all(np.isfinite(lam)):
         raise ValueError("spectrum must be finite")
+    return lam
+
+
+def _validate_spectrum(lam) -> np.ndarray:
+    lam = _as_spectrum(lam)
     if np.any(np.diff(lam) >= 0.0):
         raise ValueError("spectrum must be strictly descending")
     return lam
@@ -65,14 +72,7 @@ def _validate_spectrum(lam) -> np.ndarray:
 
 def permutohedron_vertices(lam) -> VertexSet:
     """All n! permutations of a strictly descending spectrum."""
-    lam = _validate_spectrum(lam)
-    n = len(lam)
-    if n > MAX_VERTEX_N:
-        raise TooLarge(f"enumerating {n}! permutations is past the desk scale")
-    perms = tuple(itertools.permutations(range(n)))
-    points = np.array([lam[list(p)] for p in perms])
-    return VertexSet(lam=lam, points=points, perms=perms,
-                     affine_dim=_affine_dim(points))
+    return spectral_polytope(_validate_spectrum(lam))
 
 
 def bfr_map(s) -> np.ndarray:
@@ -91,7 +91,9 @@ def accessible_vertices(s) -> VertexSet:
     """Permutations whose nested leading minors of the eigenvector matrix
     are all nonzero; these are the hull vertices reachable by sorting flows.
 
-    Requires an irreducible matrix with simple spectrum.
+    Each minor is factored once per row set (2^n - 2 in all); listing the
+    accepted permutations keeps the n <= 8 cap.  Requires an irreducible
+    matrix with simple spectrum.
     """
     a = as_symmetric(s)
     if not is_irreducible(a):
@@ -100,28 +102,21 @@ def accessible_vertices(s) -> VertexSet:
     n = a.shape[0]
     if n > MAX_VERTEX_N:
         raise TooLarge(f"checking {n}! permutations is past the desk scale")
-    # minors of the eigenvector matrix: rows picked by the permutation prefix,
-    # columns always the leading ones (eigenvalue order is fixed, descending)
-    q = dec.q
-    accepted = []
-    near = []
-    for perm in itertools.permutations(range(n)):
-        ok = True
-        closest = math.inf
-        for k in range(1, n):
-            det = abs(np.linalg.det(q[np.ix_(perm[:k], range(k))]))
-            closest = min(closest, det)
-            if det <= MINOR_TOL:
-                ok = False
-                break
-        if ok:
-            accepted.append(perm)
-            if closest < MINOR_TOL * 10.0:
-                near.append(perm)
-    points = np.array([dec.lam[list(p)] for p in accepted])
-    return VertexSet(lam=dec.lam.copy(), points=points, perms=tuple(accepted),
-                     affine_dim=_affine_dim(points),
-                     near_threshold=tuple(near))
+    # |det| of the leading k x k minor of the eigenvector matrix on each row
+    # set, indexed by the bit mask of the rows; the row order of a permutation
+    # prefix does not change |det|.  Columns: the leading eigenvalues.
+    minors = np.zeros(1 << n)
+    for k in range(1, n):
+        rows = np.array(list(itertools.combinations(range(n), k)))
+        minors[(1 << rows).sum(axis=1)] = np.abs(np.linalg.det(dec.q[rows, :k]))
+    perms = np.array(list(itertools.permutations(range(n))))
+    closest = minors[np.cumsum(1 << perms[:, :-1], axis=1)].min(axis=1)
+    ok = closest > MINOR_TOL
+    accepted = tuple(map(tuple, perms[ok].tolist()))
+    near = tuple(map(tuple, perms[ok & (closest < MINOR_TOL * 10.0)].tolist()))
+    points = dec.lam[perms[ok]]
+    return VertexSet(lam=dec.lam.copy(), points=points, perms=accepted,
+                     affine_dim=_affine_dim(points), near_threshold=near)
 
 
 def spectral_polytope(lam) -> VertexSet:
@@ -130,27 +125,17 @@ def spectral_polytope(lam) -> VertexSet:
     Ties collapse coinciding vertices, so the result can have fewer than n!
     points and a lower affine dimension than the simple-spectrum polytope.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1 or len(lam) < 2:
-        raise ValueError("need a 1-d spectrum with at least two values")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("spectrum must be finite")
+    lam = _as_spectrum(lam)
     if np.any(np.diff(lam) > 0.0):
         raise ValueError("spectrum must be non-increasing")
     n = len(lam)
     if n > MAX_VERTEX_N:
         raise TooLarge(f"enumerating {n}! permutations is past the desk scale")
-    seen = set()
-    keep_points, keep_perms = [], []
-    for perm in itertools.permutations(range(n)):
-        pt = lam[list(perm)]
-        key = pt.tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep_points.append(pt)
-            keep_perms.append(perm)
-    points = np.array(keep_points)
-    return VertexSet(lam=lam, points=points, perms=tuple(keep_perms),
+    perms = np.array(list(itertools.permutations(range(n))))
+    _, first = np.unique(lam[perms], axis=0, return_index=True)
+    perms = perms[np.sort(first)]  # one permutation per point, the first
+    points = lam[perms]
+    return VertexSet(lam=lam, points=points, perms=tuple(map(tuple, perms.tolist())),
                      affine_dim=_affine_dim(points))
 
 
@@ -193,13 +178,10 @@ def _phase1_residual(A: np.ndarray, b: np.ndarray) -> float:
 
     max_iters = 500 * (n + m + 1)
     for _ in range(max_iters):
-        enter = -1
-        for j in range(n + m):
-            if t[m, j] < -_SIMPLEX_COST_TOL:
-                enter = j
-                break
-        if enter < 0:
+        candidates = np.flatnonzero(t[m, :-1] < -_SIMPLEX_COST_TOL)
+        if len(candidates) == 0:
             break
+        enter = int(candidates[0])
         leave, best_ratio = -1, math.inf
         for i in range(m):
             if t[i, enter] > _SIMPLEX_RATIO_TOL:
@@ -211,11 +193,10 @@ def _phase1_residual(A: np.ndarray, b: np.ndarray) -> float:
                     leave, best_ratio = i, ratio
         if leave < 0:
             raise ArithmeticError("phase-1 problem unbounded; inputs corrupt")
-        pivot = t[leave, enter]
-        t[leave] /= pivot
-        for i in range(m + 1):
-            if i != leave and t[i, enter] != 0.0:
-                t[i] -= t[i, enter] * t[leave]
+        t[leave] /= t[leave, enter]
+        factors = t[:, enter].copy()
+        factors[leave] = 0.0
+        t -= np.outer(factors, t[leave])
         basis[leave] = enter
     else:
         raise ArithmeticError("phase-1 simplex failed to terminate")
@@ -223,24 +204,30 @@ def _phase1_residual(A: np.ndarray, b: np.ndarray) -> float:
 
 
 def hull_member(point, lam, tol: float = FEASIBILITY_TOL) -> bool:
-    """Hull membership by linear programming: is the point a convex
-    combination of the permutations of the spectrum?
+    """Hull membership by linear programming: is the point D @ lam for some
+    doubly stochastic D?
 
-    Exponential in n by construction; guarded by the same desk-scale cap as
-    the vertex enumerations.
+    By Birkhoff-von Neumann that is the same as being a convex combination
+    of the permutations of the spectrum.  The LP has the n^2 entries of D as
+    unknowns and 3n equations, so it is polynomial in n; it keeps the
+    desk-scale cap of the vertex enumerations all the same.
     """
     lam = _validate_spectrum(lam)
     point = np.asarray(point, dtype=float)
     n = len(lam)
     if point.shape != (n,):
         raise ValueError("point and spectrum sizes differ")
+    if not np.all(np.isfinite(point)):
+        raise ValueError("point must be finite")
     if n > MAX_VERTEX_N:
-        raise TooLarge(f"hull test over {n}! vertices is past the desk scale")
-    verts = np.array([lam[list(p)] for p in itertools.permutations(range(n))])
+        raise TooLarge(f"hull test at n = {n} is past the desk scale")
     scale = max(1.0, float(np.abs(lam).max()))
-    # rows: n coordinate equations plus the convexity equation sum(x) = 1
-    A = np.vstack([verts.T / scale, np.ones((1, len(verts)))])
-    b = np.concatenate([point / scale, [1.0]])
+    eye = np.eye(n)
+    # unknowns D[i, j] in row-major order; rows: (D lam)_i = p_i, then the
+    # row sums and the column sums of D, all equal to 1
+    A = np.vstack([np.kron(eye, lam / scale), np.kron(eye, np.ones(n)),
+                   np.kron(np.ones(n), eye)])
+    b = np.concatenate([point / scale, np.ones(2 * n)])
     return _phase1_residual(A, b) < tol
 
 

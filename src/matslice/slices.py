@@ -178,17 +178,16 @@ def slice_point(s, w) -> np.ndarray:
 def is_irreducible(s) -> bool:
     """True when no proper coordinate subset spans an invariant subspace.
 
-    Couplings with |s[i][j]| <= 1e-12 * ||s|| count as zero; every proper
-    nonempty index subset is checked directly against that zero pattern
-    (2^n - 2 subsets, fine at desk scale).
+    Couplings with |s[i][j]| <= 1e-12 * ||s|| count as zero.  A proper subset
+    is invariant exactly when no coupling leaves it, so the matrix is
+    irreducible exactly when its coupling graph is connected: grow the set
+    reachable from index 0, one layer of neighbours per pass.
     """
     a = as_symmetric(s)
     n = a.shape[0]
     coupled = np.abs(a) > IRREDUCIBLE_RTOL * frobenius(a)
-    np.fill_diagonal(coupled, False)
-    indices = np.arange(n)
-    for mask in range(1, 2 ** n - 1):
-        inside = (mask >> indices) & 1 == 1
-        if not coupled[np.ix_(~inside, inside)].any():
-            return False
-    return True
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    for _ in range(n - 1):
+        reached |= coupled[reached].any(axis=0)
+    return bool(reached.all())

@@ -24,6 +24,7 @@ from matslice import (
     symmetrize,
     upper_part,
 )
+from matslice import linalg
 from conftest import gram_schmidt_qr, horner_matrix, matrix_function_oracle, maxabs
 
 
@@ -230,6 +231,23 @@ def test_apply_function_matches_lapack_route():
         got = apply_function(s, SpectralFunction.exp())
         want = matrix_function_oracle(s, np.exp)
         npt.assert_allclose(got, want, atol=1e-11 * max(1.0, frobenius(want)))
+
+
+def test_apply_function_validates_once(monkeypatch):
+    # the Lax field calls apply_function in every RK4 stage
+    calls = [0]
+    check = linalg.as_square
+
+    def counting(m):
+        calls[0] += 1
+        return check(m)
+
+    monkeypatch.setattr(linalg, "as_square", counting)
+    s = symmetrize(np.random.default_rng(21).normal(size=(4, 4)))
+    apply_function(s, SpectralFunction.exp())
+    assert calls[0] == 1
+    eigensystem(s)
+    assert calls[0] == 2
 
 
 # ------------------------------------------------------------ the splitting

@@ -10,6 +10,7 @@ from matslice import (
     TooLarge,
     accessible_vertices,
     bfr_map,
+    descending_spectrum,
     hull_member,
     is_irreducible,
     majorization_member,
@@ -24,6 +25,7 @@ from matslice import (
     sum_zero_basis,
     symmetrize,
 )
+from matslice import polytope
 from conftest import golden_matrix, maxabs
 
 
@@ -60,6 +62,13 @@ def test_spectral_polytope_merges_ties():
     assert flat.affine_dim == 0
     simple = spectral_polytope(np.array([3.0, 2.0, 1.0]))
     assert len(simple) == 6
+
+
+def test_spectral_polytope_merges_signed_zero_ties():
+    # 0.0 and -0.0 are one eigenvalue, so they give one vertex, not two
+    vs = spectral_polytope(np.array([2.0, 0.0, -0.0]))
+    assert len(vs) == 3
+    assert vs.perms == spectral_polytope(np.array([2.0, 0.0, 0.0])).perms
 
 
 # ------------------------------------------------------------------- bfr_map
@@ -134,6 +143,78 @@ def test_accessible_count_never_exceeds_factorial():
         assert 1 <= len(vs) <= math.factorial(n)
         for perm, pt in zip(vs.perms, vs.points):
             npt.assert_array_equal(pt, vs.lam[list(perm)])
+
+
+def prefix_loop_vertices(s):
+    """Reference: factor the leading minor of every prefix of every permutation."""
+    dec = spectral_decompose(s)
+    q = dec.q
+    n = q.shape[0]
+    accepted, near = [], []
+    for perm in itertools.permutations(range(n)):
+        ok = True
+        closest = math.inf
+        for k in range(1, n):
+            det = abs(np.linalg.det(q[np.ix_(perm[:k], range(k))]))
+            closest = min(closest, det)
+            if det <= polytope.MINOR_TOL:
+                ok = False
+                break
+        if ok:
+            accepted.append(perm)
+            if closest < polytope.MINOR_TOL * 10.0:
+                near.append(perm)
+    points = np.array([dec.lam[list(p)] for p in accepted])
+    return tuple(accepted), tuple(near), points
+
+
+def small_component_matrix(n, col, value, rng):
+    """Spectrum (n, ..., 1) with component ``col`` of eigenvector 1 set to
+    ``value`` by rotating eigenvectors 0 and 1 into each other.  A zero
+    component makes leading minors vanish: the 1 x 1 ones for col = 0, the
+    (n-1) x (n-1) ones (by the complementary-minor identity) for col = n-1."""
+    q = random_orthogonal(n, rng)
+    radius = math.hypot(q[0, col], q[1, col])
+    angle = math.atan2(q[1, col], q[0, col]) - math.asin(value / radius)
+    c, sn = math.cos(angle), math.sin(angle)
+    q[[0, 1]] = [c * q[0] + sn * q[1], -sn * q[0] + c * q[1]]
+    return symmetrize((q.T * np.arange(n, 0.0, -1.0)) @ q)
+
+
+def test_accessible_vertices_match_prefix_loop():
+    rng = np.random.default_rng(745)
+    cases = [golden_matrix()[0], small_component_matrix(4, 0, 5e-10, rng)]
+    for n in (3, 4, 5, 6):
+        for _ in range(3):
+            cases.append(random_with_spectrum(np.arange(n, 0.0, -1.0)
+                                              + rng.uniform(0.0, 0.5, n), rng))
+            cases.append(random_jacobi(n, rng))
+            cases.append(small_component_matrix(n, int(rng.choice([0, n - 1])), 0.0, rng))
+    pruned = flagged = 0
+    for s in cases:
+        vs = accessible_vertices(s)
+        perms, near, points = prefix_loop_vertices(s)
+        assert vs.perms == perms
+        assert vs.near_threshold == near
+        assert np.array_equal(vs.points, points)
+        pruned += len(vs) < math.factorial(len(vs.lam))
+        flagged += len(near) > 0
+    assert pruned >= 5 and flagged >= 1  # zero and near-zero minors exercised
+
+
+def test_accessible_vertices_factors_each_row_set_once(monkeypatch):
+    matrices = [0]
+    det = np.linalg.det
+
+    def counting_det(a):
+        a = np.asarray(a)
+        matrices[0] += math.prod(a.shape[:-2])
+        return det(a)
+
+    s = random_jacobi(6, np.random.default_rng(747))
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    assert len(accessible_vertices(s)) == math.factorial(6)
+    assert 0 < matrices[0] <= 2 ** 6 - 2
 
 
 def test_accessible_vertices_guards():
@@ -224,6 +305,59 @@ def test_hull_member_guards():
         hull_member(np.array([1.0, 1.0, 1.0]), lam)
     with pytest.raises(TooLarge):
         hull_member(np.zeros(9), np.arange(9.0)[::-1])
+
+
+def test_hull_member_refuses_nonfinite_points():
+    lam = np.array([3.0, 2.0, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            hull_member(np.array([bad, 2.0, 1.0]), lam)
+
+
+def test_hull_lp_has_at_most_n_squared_columns(monkeypatch):
+    shapes = []
+    solve = polytope._phase1_residual
+
+    def recording(A, b):
+        shapes.append(A.shape)
+        return solve(A, b)
+
+    monkeypatch.setattr(polytope, "_phase1_residual", recording)
+    lam = np.array([5.0, 4.0, 2.5, 1.0, -1.0])
+    assert hull_member(np.full(5, lam.mean()), lam)
+    assert shapes and all(cols <= 5 * 5 for _, cols in shapes)
+
+
+def facet_point(lam, k, rng):
+    """A point in the relative interior of the facet where the first k
+    coordinates hold the k largest eigenvalues: random convex combinations
+    of the permutations within each block."""
+    def mix(values):
+        perms = [rng.permutation(values) for _ in range(12)]
+        return rng.dirichlet(np.ones(len(perms))) @ np.array(perms)
+    return np.concatenate([mix(lam[:k]), mix(lam[k:])])
+
+
+def test_hull_and_majorization_agree_at_n6_to_8():
+    rng = np.random.default_rng(753)
+    for n in (6, 7, 8):
+        lam = descending_spectrum(n, rng, lo=-3.0, hi=3.0, min_gap=0.3)
+        span = lam[0] - lam[-1]
+        points = [(bfr_map(random_with_spectrum(lam, rng)), True) for _ in range(3)]
+        bary = np.full(n, lam.mean())
+        points += [(lam + 1e-5 * (bary - lam), True), (lam + 1e-5 * (lam - bary), False)]
+        for _ in range(4):
+            k = int(rng.integers(1, n))
+            order = rng.permutation(n)
+            face = facet_point(lam, k, rng)
+            normal = np.concatenate([np.full(k, 1.0 / k), np.full(n - k, -1.0 / (n - k))])
+            for sign, inside in ((-1.0, True), (1.0, False)):
+                point = np.empty(n)
+                point[order] = face + sign * 1e-5 * span * normal
+                points.append((point, inside))
+        for point, inside in points:
+            assert majorization_member(point, lam) is inside
+            assert hull_member(point, lam) is inside
 
 
 # ----------------------------------------------------- slice images & basis

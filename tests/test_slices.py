@@ -25,7 +25,9 @@ from matslice import (
     random_jacobi,
     random_with_spectrum,
     slice_point,
+    symmetrize,
 )
+from matslice.slices import IRREDUCIBLE_RTOL
 from conftest import maxabs
 
 
@@ -323,3 +325,31 @@ def test_is_irreducible_cases():
     assert not is_irreducible(j)
     full = np.ones((3, 3)) + np.diag([1.0, 2.0, 3.0])
     assert is_irreducible(full)
+
+
+def subset_scan_irreducible(s):
+    """Reference: check every proper nonempty index subset for a coupling
+    leaving it (2^n - 2 subsets)."""
+    a = symmetrize(s)
+    n = a.shape[0]
+    coupled = np.abs(a) > IRREDUCIBLE_RTOL * frobenius(a)
+    np.fill_diagonal(coupled, False)
+    indices = np.arange(n)
+    for mask in range(1, 2 ** n - 1):
+        inside = (mask >> indices) & 1 == 1
+        if not coupled[np.ix_(~inside, inside)].any():
+            return False
+    return True
+
+
+def test_is_irreducible_matches_subset_scan():
+    rng = np.random.default_rng(317)
+    answers = []
+    for _ in range(300):
+        n = int(rng.integers(2, 11))
+        pattern = rng.random((n, n)) < rng.uniform(0.05, 0.5)
+        a = np.where(pattern | pattern.T, rng.normal(size=(n, n)), 0.0)
+        a = a + a.T + np.diag(rng.normal(size=n))
+        answers.append(is_irreducible(a))
+        assert answers[-1] == subset_scan_irreducible(a)
+    assert 0 < sum(answers) < len(answers)  # both answers exercised
