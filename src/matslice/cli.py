@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -34,12 +35,20 @@ from .slices import functional_step, iterate_qr
 from .toda import (
     FlowConfig,
     convergence_diagnostics,
-    flow_factorized,
     flow_factorized_trajectory,
     flow_integrated,
     particle_flow,
     time_grid,
 )
+
+
+@contextmanager
+def _usage(what: str):
+    """Report a value the block cannot parse as bad usage (exit code 2)."""
+    try:
+        yield
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"{what}: {exc}") from exc
 
 
 def parse_function(text: str) -> SpectralFunction:
@@ -52,67 +61,47 @@ def parse_function(text: str) -> SpectralFunction:
     if t == "exp":
         return SpectralFunction.exp()
     if t.startswith("pow:"):
-        try:
+        with _usage(f"bad exponent in {text!r}"):
             exponent = Fraction(t[4:])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise argparse.ArgumentTypeError(
-                f"bad exponent in {text!r}: {exc}") from exc
         if exponent.denominator == 1:
             return SpectralFunction.power(int(exponent))
         return SpectralFunction.power(exponent)
     if t.startswith("poly:"):
-        try:
-            coeffs = [float(c) for c in t[5:].split(",")]
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(
-                f"bad coefficients in {text!r}: {exc}") from exc
-        try:
-            return SpectralFunction.polynomial(coeffs)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
+        with _usage(f"bad coefficients in {text!r}"):
+            return SpectralFunction.polynomial([float(c) for c in t[5:].split(",")])
     raise argparse.ArgumentTypeError(
         f"unknown function {text!r}; use identity, log, exp, pow:<k> or poly:c0,c1,...")
 
 
 def parse_spectrum(text: str) -> np.ndarray:
-    try:
+    with _usage(f"bad spectrum {text!r}"):
         values = np.array([float(v) for v in text.split(",")])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad spectrum {text!r}: {exc}") from exc
     if len(values) < 2 or np.any(np.diff(values) >= 0.0):
         raise argparse.ArgumentTypeError(
             "spectrum must list at least two strictly descending values")
     return values
 
 
-def positive_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not v > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return v
+def _number(kind, rule: str, ok):
+    """argparse type: a ``kind`` number for which ``ok`` holds, described by ``rule``.
+
+    NaN fails every bound, so it is refused as out of range.
+    """
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(text: str):
+        with _usage(f"not {noun}"):
+            v = kind(text)
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return v
+
+    return parse
 
 
-def nonnegative_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if v < 0.0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
-    return v
-
-
-def positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return v
+_POSITIVE = _number(float, "positive", lambda v: v > 0.0)
+_NONNEGATIVE = _number(float, "nonnegative", lambda v: v >= 0.0)
+_COUNT = _number(int, "at least 1", lambda v: v >= 1)
 
 
 def _src(path: str):
@@ -121,10 +110,6 @@ def _src(path: str):
 
 def _dst(path: str):
     return sys.stdout if path == "-" else path
-
-
-def _emit_error(kind: str, detail: str):
-    print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
 
 
 def _cmd_factor(args) -> int:
@@ -154,12 +139,12 @@ def _cmd_iterate(args) -> int:
 def _cmd_flow(args) -> int:
     s = fileio.read_matrix(_src(args.infile))
     if args.method == "factorized":
-        final = flow_factorized(s, args.g, args.t)
+        # one eigensolve; the grid ends on exactly t, so its last sample is --out
+        times = time_grid(args.t, args.dt) if args.traj else [args.t]
+        traj = flow_factorized_trajectory(s, args.g, times)
         if args.traj:
-            fileio.write_trajectory_csv(
-                flow_factorized_trajectory(s, args.g, time_grid(args.t, args.dt)),
-                _dst(args.traj))
-        fileio.write_matrix(final, _dst(args.out))
+            fileio.write_trajectory_csv(traj, _dst(args.traj))
+        fileio.write_matrix(traj.final, _dst(args.out))
         return 0
     config = FlowConfig(g=args.g, t_final=args.t, dt=args.dt)
     traj = flow_integrated(s, config)
@@ -170,13 +155,9 @@ def _cmd_flow(args) -> int:
         return 0
     # both: cross-validate the integrator against the factorized solution
     stride = max(1, len(traj) // 50)
-    picks = list(range(0, len(traj), stride))
-    if picks[-1] != len(traj) - 1:
-        picks.append(len(traj) - 1)
-    deviation = 0.0
-    for i in picks:
-        exact = flow_factorized(s, args.g, float(traj.times[i]))
-        deviation = max(deviation, frobenius(traj.states[i] - exact))
+    picks = sorted({*range(0, len(traj), stride), len(traj) - 1})  # and always the last
+    exact = flow_factorized_trajectory(s, args.g, traj.times[picks])
+    deviation = max(frobenius(traj.states[i] - e) for i, e in zip(picks, exact.states))
     report = {
         "method": "both",
         "t": float(args.t),
@@ -249,81 +230,69 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("factor", help="QR factorization with positive diagonal")
-    p.add_argument("--in", dest="infile", required=True)
+    def command(name, handler, help, in_help=None):
+        """A subcommand that reads the file named by --in and runs ``handler``."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--in", dest="infile", required=True, help=in_help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("factor", _cmd_factor, "QR factorization with positive diagonal")
     p.add_argument("--out-q", dest="out_q", required=True)
     p.add_argument("--out-r", dest="out_r", required=True)
-    p.set_defaults(handler=_cmd_factor)
 
-    p = sub.add_parser("step", help="one QR-type step, optionally through f(S)")
-    p.add_argument("--in", dest="infile", required=True)
+    p = command("step", _cmd_step, "one QR-type step, optionally through f(S)")
     p.add_argument("--f", type=parse_function, default=SpectralFunction.identity(),
                    help="identity | log | exp | pow:<k> | poly:c0,c1,...")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_step)
 
-    p = sub.add_parser("iterate", help="repeat QR-type steps and report convergence")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--steps", type=positive_int, required=True)
+    p = command("iterate", _cmd_iterate, "repeat QR-type steps and report convergence")
+    p.add_argument("--steps", type=_COUNT, required=True)
     p.add_argument("--f", type=parse_function, default=SpectralFunction.identity())
     p.add_argument("--traj", help="optional CSV of every iterate")
     p.add_argument("--report", default="-", help="diagnostics JSON (default stdout)")
-    p.set_defaults(handler=_cmd_iterate)
 
-    p = sub.add_parser("flow", help="isospectral flow driven by g")
-    p.add_argument("--in", dest="infile", required=True)
+    p = command("flow", _cmd_flow, "isospectral flow driven by g")
     p.add_argument("--g", type=parse_function, default=SpectralFunction.identity())
-    p.add_argument("--t", type=nonnegative_float, required=True)
-    p.add_argument("--dt", type=positive_float, default=1e-3)
+    p.add_argument("--t", type=_NONNEGATIVE, required=True)
+    p.add_argument("--dt", type=_POSITIVE, default=1e-3)
     p.add_argument("--method", choices=("factorized", "integrated", "both"),
                    default="factorized")
     p.add_argument("--out", default="-",
                    help="final matrix JSON; with --method both, "
                         "a comparison report instead")
     p.add_argument("--traj", help="optional CSV of samples along the flow")
-    p.set_defaults(handler=_cmd_flow)
 
-    p = sub.add_parser("toda-particles",
-                       help="integrate the exponential-chain particle system")
-    p.add_argument("--in", dest="infile", required=True,
-                   help='JSON {"x": [...], "y": [...]}')
-    p.add_argument("--t", type=nonnegative_float, required=True)
-    p.add_argument("--dt", type=positive_float, default=1e-3)
+    p = command("toda-particles", _cmd_toda_particles,
+                "integrate the exponential-chain particle system",
+                in_help='JSON {"x": [...], "y": [...]}')
+    p.add_argument("--t", type=_NONNEGATIVE, required=True)
+    p.add_argument("--dt", type=_POSITIVE, default=1e-3)
     p.add_argument("--out", default="-")
-    p.set_defaults(handler=_cmd_toda_particles)
 
-    p = sub.add_parser("moser", help="spectrum and first-component weights "
-                                     "of a Jacobi matrix")
-    p.add_argument("--in", dest="infile", required=True)
+    p = command("moser", _cmd_moser,
+                "spectrum and first-component weights of a Jacobi matrix")
     p.add_argument("--out", default="-")
-    p.set_defaults(handler=_cmd_moser)
 
-    p = sub.add_parser("moser-inverse",
-                       help="rebuild the Jacobi matrix from spectrum and weights")
-    p.add_argument("--in", dest="infile", required=True)
+    p = command("moser-inverse", _cmd_moser_inverse,
+                "rebuild the Jacobi matrix from spectrum and weights")
     p.add_argument("--out", default="-")
-    p.set_defaults(handler=_cmd_moser_inverse)
 
-    p = sub.add_parser("bfr", help="weighted-eigenvalue image of a symmetric matrix")
-    p.add_argument("--in", dest="infile", required=True)
+    p = command("bfr", _cmd_bfr, "weighted-eigenvalue image of a symmetric matrix")
     p.add_argument("--out", default="-")
-    p.set_defaults(handler=_cmd_bfr)
 
-    p = sub.add_parser("polytope",
-                       help="accessible vertices of the spectral polytope")
-    p.add_argument("--in", dest="infile", required=True)
+    p = command("polytope", _cmd_polytope, "accessible vertices of the spectral polytope")
     p.add_argument("--out", default="-")
     p.add_argument("--full", action="store_true",
                    help="emit every permutation vertex instead")
     p.add_argument("--projection",
                    help="optional CSV of vertex coordinates in the "
                         "sum-zero hyperplane")
-    p.set_defaults(handler=_cmd_polytope)
 
     p = sub.add_parser("random", help="seeded random instances")
     p.add_argument("--kind", choices=("symmetric", "jacobi", "spectrum"),
                    default="symmetric")
-    p.add_argument("--n", type=positive_int, default=4)
+    p.add_argument("--n", type=_COUNT, default=4)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--spectrum", type=parse_spectrum, default=None,
                    help="comma-separated descending values (jacobi kind only)")
@@ -342,14 +311,13 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except MatSliceError as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return 1
+        kind, detail = type(exc).__name__, str(exc)
     except OSError as exc:
-        _emit_error("IOError", str(exc))
-        return 1
+        kind, detail = "IOError", str(exc)
     except ValueError as exc:
-        _emit_error("InvalidInput", str(exc))
-        return 1
+        kind, detail = "InvalidInput", str(exc)
+    print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

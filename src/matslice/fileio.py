@@ -4,20 +4,25 @@ All permutation and bond indices are 1-based in files (the Python API is
 0-based throughout).  Floats are written with repr precision (%.17g in CSV)
 so a read-back reproduces the array bit for bit; writers emit keys in a fixed
 order so identical inputs give byte-identical files.
+
+Every reader raises InvalidFormat for any malformed document: invalid JSON
+or CSV, a missing key or column, a value of the wrong type, a non-finite
+number, ragged rows, or content its result type refuses.  One JSON reader and
+writer and one CSV reader and writer serve every format.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
+import math
 from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import InvalidFormat
 from .jacobi import MoserCoordinates
-from .polytope import VertexSet
+from .polytope import VertexSet, project_sum_zero
 from .slices import Trajectory
 from .toda import ParticleTrajectory, TodaState, hamiltonian
 
@@ -35,93 +40,135 @@ def _reject_specials(token: str):
     raise InvalidFormat(f"non-finite value {token!r} in JSON input")
 
 
-def _load_json(fh) -> dict:
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise InvalidFormat(f"{what} must be finite")
+    return values
+
+
+def _numbers(value, what: str, size: int | None = None) -> np.ndarray:
+    """A JSON array of numbers, of ``size`` entries if given, as a finite float array."""
+    if not isinstance(value, list) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
+        raise InvalidFormat(f"{what} must be an array of numbers")
+    if size is not None and len(value) != size:
+        raise InvalidFormat(f"{what} must hold exactly {size} numbers")
     try:
-        doc = json.load(fh, parse_constant=_reject_specials)
-    except json.JSONDecodeError as exc:
-        raise InvalidFormat(f"not valid JSON: {exc}") from exc
+        return _finite(np.array(value, dtype=float), what)
+    except OverflowError as exc:
+        raise InvalidFormat(f"{what} holds a number beyond double range") from exc
+
+
+def _integer(value, what: str, lo: int, hi: float = math.inf) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise InvalidFormat(f"{what} must be an integer in [{lo}, {hi}]")
+    return value
+
+
+def _permutation(value, n: int, what: str) -> tuple[int, ...]:
+    """A 1-based permutation of 1..n on disk, 0-based in memory."""
+    if not isinstance(value, list) or sorted(
+            _integer(k, what, 1, n) for k in value) != list(range(1, n + 1)):
+        raise InvalidFormat(f"{what} must be a 1-based permutation of 1..{n}")
+    return tuple(k - 1 for k in value)
+
+
+def _build(cls, **fields):
+    """``cls(**fields)``, reporting the content it refuses as InvalidFormat."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise InvalidFormat(str(exc)) from exc
+
+
+def _write_json(doc: dict, path_or_file):
+    with _opened(path_or_file, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _read_json(path_or_file, what: str, keys=(), arrays=()) -> dict:
+    """The document's top-level object, holding every key in ``keys`` and
+    ``arrays``; the values under ``arrays`` come back as finite float arrays."""
+    with _opened(path_or_file, "r") as fh:
+        try:
+            doc = json.load(fh, parse_constant=_reject_specials)
+        except json.JSONDecodeError as exc:
+            raise InvalidFormat(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidFormat("top-level JSON value must be an object")
+    for key in (*keys, *arrays):
+        if key not in doc:
+            raise InvalidFormat(f'{what} JSON needs key "{key}"')
+    for key in arrays:
+        doc[key] = _numbers(doc[key], f'"{key}"')
     return doc
 
 
-def _dump_json(doc: dict, fh):
-    json.dump(doc, fh, indent=2)
-    fh.write("\n")
+def _floats(values) -> list[float]:
+    return np.asarray(values, dtype=float).ravel().tolist()
 
 
-def _float_list(values, what: str) -> list[float]:
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise InvalidFormat(f"{what} must contain only numbers")
-        out.append(float(v))
-    if not all(np.isfinite(out)):
-        raise InvalidFormat(f"{what} must be finite")
-    return out
+def _write_csv(path_or_file, header: list[str], table, labels=None):
+    """The header, then each table row at %.17g, after its label if given."""
+    with _opened(path_or_file, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k, row in enumerate(table):
+            cells = [f"{v:.17g}" for v in row]
+            writer.writerow(cells if labels is None else [labels[k], *cells])
+
+
+def _read_csv(path_or_file, what: str, header_ok) -> np.ndarray:
+    """The data rows as a float array, under a header that ``header_ok`` accepts."""
+    with _opened(path_or_file, "r") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or not rows[0] or not header_ok(rows[0]):
+        raise InvalidFormat(f"{what} CSV does not start with a valid header")
+    width = len(rows[0])
+    if len(rows) == 1:
+        raise InvalidFormat(f"{what} CSV has no data rows")
+    values = []
+    for k, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise InvalidFormat(f"{what} CSV line {k} has {len(row)} fields, wanted {width}")
+        try:
+            values.append([float(v) for v in row])
+        except ValueError as exc:
+            raise InvalidFormat(f"{what} CSV line {k}: {exc}") from exc
+    return np.array(values)
 
 
 def write_matrix(s, path_or_file):
     """{"n": n, "data": row-major entries}."""
     a = np.asarray(s, dtype=float)
-    doc = {"n": int(a.shape[0]), "data": [float(v) for v in a.ravel()]}
-    with _opened(path_or_file, "w") as fh:
-        _dump_json(doc, fh)
+    _write_json({"n": int(a.shape[0]), "data": _floats(a)}, path_or_file)
 
 
 def read_matrix(path_or_file) -> np.ndarray:
-    with _opened(path_or_file, "r") as fh:
-        doc = _load_json(fh)
-    if "n" not in doc or "data" not in doc:
-        raise InvalidFormat('matrix JSON needs keys "n" and "data"')
-    n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidFormat('"n" must be a positive integer')
-    data = doc["data"]
-    if not isinstance(data, list) or len(data) != n * n:
-        raise InvalidFormat(f'"data" must hold exactly n*n = {n * n} numbers')
-    return np.array(_float_list(data, '"data"')).reshape(n, n)
-
-
-def _matrix_header(n: int) -> list[str]:
-    return ["t"] + [f"a{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    doc = _read_json(path_or_file, "matrix", keys=("n", "data"))
+    n = _integer(doc["n"], '"n"', 1)
+    return _numbers(doc["data"], '"data"', n * n).reshape(n, n)
 
 
 def write_trajectory_csv(traj: Trajectory, path_or_file):
     """One row per sample: t followed by the row-major matrix entries."""
     n = traj.n
-    with _opened(path_or_file, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_matrix_header(n))
-        for t, state in zip(traj.times, traj.states):
-            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in state.ravel()])
+    header = ["t"] + [f"a{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    table = np.column_stack([traj.times, np.reshape(traj.states, (len(traj), -1))])
+    _write_csv(path_or_file, header, table)
+
+
+def _is_matrix_header(header: list[str]) -> bool:
+    n = math.isqrt(len(header) - 1)
+    return header[0] == "t" and n >= 1 and n * n == len(header) - 1
 
 
 def read_trajectory_csv(path_or_file) -> Trajectory:
-    with _opened(path_or_file, "r") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0] != "t":
-        raise InvalidFormat("trajectory CSV must start with a 't,a11,...' header")
-    width = len(rows[0]) - 1
-    n = int(round(width ** 0.5))
-    if n * n != width or n < 1:
-        raise InvalidFormat("trajectory CSV header does not describe a square matrix")
-    times, states = [], []
-    for k, row in enumerate(rows[1:], start=2):
-        if len(row) != width + 1:
-            raise InvalidFormat(f"trajectory CSV line {k} has {len(row)} fields, wanted {width + 1}")
-        try:
-            vals = [float(v) for v in row]
-        except ValueError as exc:
-            raise InvalidFormat(f"trajectory CSV line {k}: {exc}") from exc
-        times.append(vals[0])
-        states.append(np.array(vals[1:]).reshape(n, n))
-    if not times:
-        raise InvalidFormat("trajectory CSV has no data rows")
-    try:
-        return Trajectory(times=np.array(times), states=states)
-    except ValueError as exc:
-        raise InvalidFormat(str(exc)) from exc
+    vals = _read_csv(path_or_file, "trajectory", _is_matrix_header)
+    n = math.isqrt(vals.shape[1] - 1)
+    states = _finite(vals[:, 1:], "trajectory CSV states").reshape(-1, n, n)
+    return _build(Trajectory, times=vals[:, 0], states=list(states))
 
 
 def write_particle_csv(traj: ParticleTrajectory, path_or_file):
@@ -129,156 +176,90 @@ def write_particle_csv(traj: ParticleTrajectory, path_or_file):
     n = traj.n
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
               + [f"y{i + 1}" for i in range(n)] + ["H"])
-    with _opened(path_or_file, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, st in zip(traj.times, traj.states):
-            row = [f"{t:.17g}"]
-            row += [f"{v:.17g}" for v in st.x]
-            row += [f"{v:.17g}" for v in st.y]
-            row.append(f"{hamiltonian(st):.17g}")
-            writer.writerow(row)
+    table = [[t, *st.x, *st.y, hamiltonian(st)] for t, st in zip(traj.times, traj.states)]
+    _write_csv(path_or_file, header, table)
+
+
+def _is_particle_header(header: list[str]) -> bool:
+    return header[0] == "t" and header[-1] == "H" and len(header) % 2 == 0 and len(header) >= 6
 
 
 def read_particle_csv(path_or_file) -> ParticleTrajectory:
-    with _opened(path_or_file, "r") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0] != "t" or rows[0][-1] != "H":
-        raise InvalidFormat("particle CSV must start with a 't,x1,...,y1,...,H' header")
-    width = len(rows[0]) - 2
-    if width % 2 or width < 4:
-        raise InvalidFormat("particle CSV header does not describe x/y columns")
-    n = width // 2
-    samples = []
-    for k, row in enumerate(rows[1:], start=2):
-        if len(row) != width + 2:
-            raise InvalidFormat(f"particle CSV line {k} has {len(row)} fields, wanted {width + 2}")
-        try:
-            samples.append([float(v) for v in row])
-        except ValueError as exc:
-            raise InvalidFormat(f"particle CSV line {k}: {exc}") from exc
-    if not samples:
-        raise InvalidFormat("particle CSV has no data rows")
-    vals = np.array(samples)
-    try:
-        states = [TodaState(x=row[1:1 + n], y=row[1 + n:1 + 2 * n]) for row in vals]
-        return ParticleTrajectory(times=vals[:, 0], states=states)
-    except ValueError as exc:
-        raise InvalidFormat(str(exc)) from exc
+    vals = _read_csv(path_or_file, "particle", _is_particle_header)
+    n = (vals.shape[1] - 2) // 2
+    states = [_build(TodaState, x=row[1:1 + n], y=row[1 + n:1 + 2 * n]) for row in vals]
+    return _build(ParticleTrajectory, times=vals[:, 0], states=states)
 
 
 def write_toda_state(state: TodaState, path_or_file):
-    doc = {"x": [float(v) for v in state.x], "y": [float(v) for v in state.y]}
-    with _opened(path_or_file, "w") as fh:
-        _dump_json(doc, fh)
+    _write_json({"x": _floats(state.x), "y": _floats(state.y)}, path_or_file)
 
 
 def read_toda_state(path_or_file) -> TodaState:
-    with _opened(path_or_file, "r") as fh:
-        doc = _load_json(fh)
-    if "x" not in doc or "y" not in doc:
-        raise InvalidFormat('particle JSON needs keys "x" and "y"')
-    if not isinstance(doc["x"], list) or not isinstance(doc["y"], list):
-        raise InvalidFormat('"x" and "y" must be arrays')
-    x = _float_list(doc["x"], '"x"')
-    y = _float_list(doc["y"], '"y"')
-    if len(x) != len(y):
-        raise InvalidFormat('"x" and "y" must have the same length')
-    try:
-        return TodaState(x=np.array(x), y=np.array(y))
-    except ValueError as exc:
-        raise InvalidFormat(str(exc)) from exc
+    doc = _read_json(path_or_file, "particle", arrays=("x", "y"))
+    return _build(TodaState, x=doc["x"], y=doc["y"])
 
 
 def write_moser(coords: MoserCoordinates, path_or_file):
-    doc = {"lambda": [float(v) for v in coords.lam],
-           "w": [float(v) for v in coords.w]}
-    with _opened(path_or_file, "w") as fh:
-        _dump_json(doc, fh)
+    _write_json({"lambda": _floats(coords.lam), "w": _floats(coords.w)}, path_or_file)
 
 
 def read_moser(path_or_file) -> MoserCoordinates:
-    with _opened(path_or_file, "r") as fh:
-        doc = _load_json(fh)
-    if "lambda" not in doc or "w" not in doc:
-        raise InvalidFormat('coordinate JSON needs keys "lambda" and "w"')
-    if not isinstance(doc["lambda"], list) or not isinstance(doc["w"], list):
-        raise InvalidFormat('"lambda" and "w" must be arrays')
-    lam = _float_list(doc["lambda"], '"lambda"')
-    w = _float_list(doc["w"], '"w"')
-    try:
-        return MoserCoordinates(lam=np.array(lam), w=np.array(w))
-    except ValueError as exc:
-        raise InvalidFormat(str(exc)) from exc
+    doc = _read_json(path_or_file, "coordinate", arrays=("lambda", "w"))
+    return _build(MoserCoordinates, lam=doc["lambda"], w=doc["w"])
 
 
 def write_point(point, path_or_file):
-    doc = {"point": [float(v) for v in np.asarray(point, dtype=float)]}
-    with _opened(path_or_file, "w") as fh:
-        _dump_json(doc, fh)
+    _write_json({"point": _floats(point)}, path_or_file)
 
 
 def read_point(path_or_file) -> np.ndarray:
-    with _opened(path_or_file, "r") as fh:
-        doc = _load_json(fh)
-    if "point" not in doc or not isinstance(doc["point"], list):
-        raise InvalidFormat('point JSON needs an array under "point"')
-    return np.array(_float_list(doc["point"], '"point"'))
+    return _read_json(path_or_file, "point", arrays=("point",))["point"]
 
 
 def write_vertex_set(vs: VertexSet, path_or_file):
     """Vertices with 1-based permutation labels and the affine dimension."""
     doc = {
-        "lambda": [float(v) for v in vs.lam],
+        "lambda": _floats(vs.lam),
         "vertices": [
-            {"pi": [int(k) + 1 for k in perm], "point": [float(v) for v in pt]}
+            {"pi": [int(k) + 1 for k in perm], "point": _floats(pt)}
             for perm, pt in zip(vs.perms, vs.points)
         ],
         "affine_dim": int(vs.affine_dim),
     }
     if vs.near_threshold:
         doc["near_threshold"] = [[int(k) + 1 for k in perm] for perm in vs.near_threshold]
-    with _opened(path_or_file, "w") as fh:
-        _dump_json(doc, fh)
+    _write_json(doc, path_or_file)
 
 
 def read_vertex_set(path_or_file) -> VertexSet:
-    with _opened(path_or_file, "r") as fh:
-        doc = _load_json(fh)
-    for key in ("lambda", "vertices", "affine_dim"):
-        if key not in doc:
-            raise InvalidFormat(f'vertex JSON needs key "{key}"')
-    lam = np.array(_float_list(doc["lambda"], '"lambda"'))
+    doc = _read_json(path_or_file, "vertex", keys=("vertices", "affine_dim"),
+                     arrays=("lambda",))
+    n = len(doc["lambda"])
+    records, near = doc["vertices"], doc.get("near_threshold", [])
+    if not isinstance(records, list) or not isinstance(near, list):
+        raise InvalidFormat('"vertices" and "near_threshold" must be arrays')
     perms, points = [], []
-    for rec in doc["vertices"]:
+    for rec in records:
         if not isinstance(rec, dict) or "pi" not in rec or "point" not in rec:
             raise InvalidFormat('each vertex needs "pi" and "point"')
-        perm = rec["pi"]
-        if (not isinstance(perm, list)
-                or sorted(perm) != list(range(1, len(lam) + 1))):
-            raise InvalidFormat(f'"pi" must be a 1-based permutation of 1..{len(lam)}')
-        perms.append(tuple(int(k) - 1 for k in perm))
-        points.append(_float_list(rec["point"], '"point"'))
-    near = tuple(
-        tuple(int(k) - 1 for k in perm) for perm in doc.get("near_threshold", ())
-    )
+        perms.append(_permutation(rec["pi"], n, '"pi"'))
+        points.append(_numbers(rec["point"], '"point"', n))
     return VertexSet(
-        lam=lam,
-        points=np.array(points) if points else np.zeros((0, len(lam))),
+        lam=doc["lambda"],
+        points=np.array(points).reshape(len(points), n),
         perms=tuple(perms),
-        affine_dim=int(doc["affine_dim"]),
-        near_threshold=near,
+        affine_dim=_integer(doc["affine_dim"], '"affine_dim"', 0, n - 1),
+        near_threshold=tuple(_permutation(p, n, '"near_threshold"') for p in near),
     )
 
 
 def write_report(report: dict, path_or_file):
-    with _opened(path_or_file, "w") as fh:
-        _dump_json(report, fh)
+    _write_json(report, path_or_file)
 
 
 def read_report(path_or_file) -> dict:
-    with _opened(path_or_file, "r") as fh:
-        return _load_json(fh)
+    return _read_json(path_or_file, "report")
 
 
 def write_projection_csv(vs: VertexSet, path_or_file):
@@ -286,19 +267,7 @@ def write_projection_csv(vs: VertexSet, path_or_file):
 
     The permutation label joins 1-based indices with dashes ("1-3-2").
     """
-    from .polytope import project_sum_zero
-
     coords = project_sum_zero(vs.points)
     header = ["pi"] + [f"y{k + 1}" for k in range(coords.shape[1])]
-    with _opened(path_or_file, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for perm, row in zip(vs.perms, coords):
-            label = "-".join(str(k + 1) for k in perm)
-            writer.writerow([label] + [f"{v:.17g}" for v in row])
-
-
-def dumps_matrix(s) -> str:
-    buf = io.StringIO()
-    write_matrix(s, buf)
-    return buf.getvalue()
+    labels = ["-".join(str(k + 1) for k in perm) for perm in vs.perms]
+    _write_csv(path_or_file, header, coords, labels)

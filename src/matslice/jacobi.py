@@ -81,10 +81,9 @@ def moser_coordinates(j) -> MoserCoordinates:
     positive for genuinely Jacobi input; a nonpositive coordinate therefore
     means numerically reducible input and raises NotJacobi.
     """
-    a = as_symmetric(j)
-    if not is_jacobi(a):
+    if not is_jacobi(j):
         raise NotJacobi("input is not tridiagonal with a positive superdiagonal")
-    dec = spectral_decompose(a)
+    dec = spectral_decompose(j)
     w = dec.q[:, 0].copy()
     if float(w.min()) <= 0.0:
         raise NotJacobi(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotIrreducible, TooLarge
-from .linalg import as_symmetric, spectral_decompose
+from .linalg import spectral_decompose
 from .slices import is_irreducible
 
 MINOR_TOL = 1e-10
@@ -63,6 +63,16 @@ def _as_spectrum(lam) -> np.ndarray:
     return lam
 
 
+def _as_point(point, lam: np.ndarray) -> np.ndarray:
+    """A finite point in the space of the spectrum, for either membership test."""
+    point = np.asarray(point, dtype=float)
+    if point.shape != lam.shape:
+        raise ValueError("point and spectrum sizes differ")
+    if not np.all(np.isfinite(point)):
+        raise ValueError("point must be finite")
+    return point
+
+
 def _validate_spectrum(lam) -> np.ndarray:
     lam = _as_spectrum(lam)
     if np.any(np.diff(lam) >= 0.0):
@@ -83,7 +93,7 @@ def bfr_map(s) -> np.ndarray:
     spectral data; it is invariant, exactly in floating point, under any sign
     flips of the eigenvector rows, because only squares of entries enter.
     """
-    dec = spectral_decompose(as_symmetric(s))
+    dec = spectral_decompose(s)
     return dec.lam @ (dec.q * dec.q)
 
 
@@ -95,11 +105,10 @@ def accessible_vertices(s) -> VertexSet:
     accepted permutations keeps the n <= 8 cap.  Requires an irreducible
     matrix with simple spectrum.
     """
-    a = as_symmetric(s)
-    if not is_irreducible(a):
+    if not is_irreducible(s):
         raise NotIrreducible("vertex accessibility needs an irreducible matrix")
-    dec = spectral_decompose(a)
-    n = a.shape[0]
+    dec = spectral_decompose(s)
+    n = len(dec.lam)
     if n > MAX_VERTEX_N:
         raise TooLarge(f"checking {n}! permutations is past the desk scale")
     # |det| of the leading k x k minor of the eigenvector matrix on each row
@@ -142,11 +151,11 @@ def spectral_polytope(lam) -> VertexSet:
 def majorization_member(point, lam, tol: float = MAJORIZATION_TOL) -> bool:
     """Hull membership by sorted prefix sums: every partial sum of the point,
     sorted descending, stays at or below the matching partial sum of the
-    spectrum, with exact equality of the totals."""
-    p = np.sort(np.asarray(point, dtype=float))[::-1]
-    l = np.sort(np.asarray(lam, dtype=float))[::-1]
-    if p.shape != l.shape:
-        return False
+    spectrum, with exact equality of the totals.  The spectrum may come in
+    any order; both inputs are checked as in ``hull_member``."""
+    lam = _as_spectrum(lam)
+    p = np.sort(_as_point(point, lam))[::-1]
+    l = np.sort(lam)[::-1]
     if abs(p.sum() - l.sum()) > tol * max(1.0, float(np.abs(l).sum())):
         return False
     return bool(np.all(np.cumsum(p) <= np.cumsum(l) + tol * max(1.0, float(np.abs(l).max()))))
@@ -213,12 +222,8 @@ def hull_member(point, lam, tol: float = FEASIBILITY_TOL) -> bool:
     desk-scale cap of the vertex enumerations all the same.
     """
     lam = _validate_spectrum(lam)
-    point = np.asarray(point, dtype=float)
+    point = _as_point(point, lam)
     n = len(lam)
-    if point.shape != (n,):
-        raise ValueError("point and spectrum sizes differ")
-    if not np.all(np.isfinite(point)):
-        raise ValueError("point must be finite")
     if n > MAX_VERTEX_N:
         raise TooLarge(f"hull test at n = {n} is past the desk scale")
     scale = max(1.0, float(np.abs(lam).max()))

@@ -82,7 +82,6 @@ class FlowConfig:
     g: SpectralFunction
     t_final: float
     dt: float
-    method: str = "integrated"
 
     def __post_init__(self):
         self.t_final = float(self.t_final)
@@ -90,8 +89,6 @@ class FlowConfig:
         _check_span(self.t_final, self.dt)
         if self.t_final > 0.0 and self.dt > self.t_final:
             raise ValueError("dt must not exceed t_final")
-        if self.method not in ("factorized", "integrated"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -230,17 +227,23 @@ def flow_factorized_trajectory(s0, g: SpectralFunction, times) -> Trajectory:
 
 
 def time_grid(t_final: float, dt: float) -> np.ndarray:
-    """Sample times 0, dt, 2 dt, ..., ending on t_final.
+    """Sample times 0, dt, 2 dt, ..., ending on exactly t_final.
 
-    When dt does not divide t_final the last step is the shorter remainder;
-    a remainder below 1e-12 * dt counts as roundoff and is dropped.
+    The multiples of dt are computed directly, not summed, so they do not
+    drift.  When dt does not divide t_final, t_final follows the last
+    multiple as a shorter final step.  A last nonzero multiple that misses
+    t_final by roundoff (less than 1e-12 * dt below it, or up to 1e-9 * dt
+    above) is replaced by t_final instead.
     """
     t_final, dt = float(t_final), float(dt)
     _check_span(t_final, dt)
     nfull = int(math.floor(t_final / dt + 1e-9))
-    rem = t_final - nfull * dt
-    steps = [dt] * nfull + ([rem] if rem > 1e-12 * dt else [])
-    return np.cumsum([0.0] + steps)
+    times = dt * np.arange(nfull + 1)
+    if nfull and t_final - times[-1] <= 1e-12 * dt:
+        times[-1] = t_final
+    elif t_final > times[-1]:
+        times = np.append(times, t_final)
+    return times
 
 
 def _check_span(t_final: float, dt: float):

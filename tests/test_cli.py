@@ -16,7 +16,7 @@ from matslice.fileio import (
     write_matrix,
     write_toda_state,
 )
-from matslice import SpectralFunction, TodaState, frobenius, qr_step
+from matslice import SpectralFunction, TodaState, frobenius, qr_step, toda
 
 
 def run(*args):
@@ -92,6 +92,29 @@ def test_flow_trajectory_output(tmp_path, jacobi_file):
     traj = read_trajectory_csv(traj_p)
     assert len(traj) == 5
     assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
+
+
+def test_factorized_trajectory_ends_on_the_output_matrix(tmp_path, jacobi_file):
+    out_p, traj_p = tmp_path / "f.json", tmp_path / "f.csv"
+    assert run("flow", "--in", jacobi_file, "--g", "log", "--t", "1.5",
+               "--dt", "1e-3", "--out", out_p, "--traj", traj_p) == 0
+    traj = read_trajectory_csv(traj_p)
+    assert traj.times[-1] == 1.5
+    assert np.array_equal(traj.final, read_matrix(out_p))
+
+
+def test_flow_eigensolves_its_input_once(tmp_path, jacobi_file, monkeypatch):
+    calls = []
+    solve = toda.eigensystem
+    monkeypatch.setattr(toda, "eigensystem", lambda s: calls.append(1) or solve(s))
+    assert run("flow", "--in", jacobi_file, "--g", "log", "--t", "1.0", "--dt", "0.25",
+               "--out", tmp_path / "f.json", "--traj", tmp_path / "f.csv") == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert run("flow", "--in", jacobi_file, "--t", "1.5", "--dt", "1e-3",
+               "--method", "both", "--out", tmp_path / "cmp.json") == 0
+    assert read_report(tmp_path / "cmp.json")["samples_compared"] == 51
+    assert len(calls) == 1
 
 
 def test_toda_particles_conserves_energy(tmp_path):

@@ -226,6 +226,39 @@ def test_vertex_set_rejections():
         read_vertex_set(io.StringIO(json.dumps(bad_perm)))
 
 
+def vertex_doc(**changes) -> str:
+    doc = {"lambda": [2.0, 1.0], "affine_dim": 1,
+           "vertices": [{"pi": [1, 2], "point": [2.0, 1.0]},
+                        {"pi": [2, 1], "point": [1.0, 2.0]}]}
+    return json.dumps({**doc, **changes})
+
+
+# Each document is malformed in one way; the reader must say so with
+# InvalidFormat, not with another exception or by accepting it.
+MALFORMED = {
+    "vertices not an array": (read_vertex_set, vertex_doc(vertices=5)),
+    "lambda not an array": (read_vertex_set, vertex_doc(**{"lambda": 3})),
+    "vertex point too short": (read_vertex_set,
+                               vertex_doc(vertices=[{"pi": [1, 2], "point": [2.0]}])),
+    "affine_dim a string": (read_vertex_set, vertex_doc(affine_dim="x")),
+    "affine_dim fractional": (read_vertex_set, vertex_doc(affine_dim=1.7)),
+    "near_threshold of strings": (read_vertex_set, vertex_doc(near_threshold=[["a"]])),
+    "near_threshold not a permutation": (read_vertex_set, vertex_doc(near_threshold=[[7, 7]])),
+    "pi of booleans": (read_vertex_set,
+                       vertex_doc(vertices=[{"pi": [True, 2], "point": [2.0, 1.0]}])),
+    "matrix entry beyond double range": (read_matrix,
+                                         '{"n": 1, "data": [1' + "0" * 400 + "]}"),
+    "trajectory state NaN": (read_trajectory_csv, "t,a11,a12,a21,a22\n0,1,nan,0,1\n"),
+}
+
+
+@pytest.mark.parametrize("reader, text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_documents_raise_invalid_format(reader, text):
+    assert len(read_vertex_set(io.StringIO(vertex_doc())).perms) == 2  # unmodified: valid
+    with pytest.raises(InvalidFormat):
+        reader(io.StringIO(text))
+
+
 def test_projection_csv_labels():
     rng = np.random.default_rng(823)
     vs = accessible_vertices(random_jacobi(3, rng, spectrum=[4.0, 2.0, 1.0]))

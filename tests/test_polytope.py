@@ -257,6 +257,19 @@ def test_membership_edge_and_near_vertex_points():
     assert not majorization_member(pushed_out, lam)
 
 
+@pytest.mark.parametrize("point, lam", [
+    ([math.nan, 2.0, 1.0], [3.0, 2.0, 1.0]),
+    ([math.inf, 2.0, 1.0], [3.0, 2.0, 1.0]),
+    ([2.0, 2.0, 2.0], [3.0, math.nan, 1.0]),
+    ([2.0, 2.0], [3.0, 2.0, 1.0]),
+    ([[2.0, 2.0, 2.0]], [3.0, 2.0, 1.0]),
+])
+def test_membership_routes_reject_the_same_bad_inputs(point, lam):
+    for member in (hull_member, majorization_member):
+        with pytest.raises(ValueError):
+            member(point, lam)
+
+
 def test_hull_and_majorization_agree_on_random_points():
     # two fully independent membership tests must give one answer
     rng = np.random.default_rng(751)

@@ -29,6 +29,7 @@ from matslice import (
     qr_step,
     random_jacobi,
     random_with_spectrum,
+    time_grid,
     toda_field,
 )
 from conftest import maxabs
@@ -244,6 +245,16 @@ def test_integrated_partial_final_step():
     assert maxabs(traj.final - exact) < 1e-6  # coarse dt, still O(dt^4)
 
 
+@pytest.mark.parametrize("t_final, dt", [(1.5, 1e-3), (10.0, 1e-3), (0.3, 0.1),
+                                         (0.7, 0.5), (1e-20, 1.0)])
+def test_time_grid_ends_exactly_on_t_final(t_final, dt):
+    # summing dt drifts: 1500 steps of 1e-3 added up end at 1.4999999999999456
+    times = time_grid(t_final, dt)
+    assert times[0] == 0.0 and times[-1] == t_final
+    assert np.all(np.diff(times) > 0.0)
+    assert np.all(np.diff(times) <= dt * (1.0 + 1e-9))
+
+
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(g=IDENTITY, t_final=1.0, dt=0.0)
@@ -251,8 +262,6 @@ def test_flow_config_validation():
         FlowConfig(g=IDENTITY, t_final=-1.0, dt=0.1)
     with pytest.raises(ValueError):
         FlowConfig(g=IDENTITY, t_final=0.5, dt=0.7)
-    with pytest.raises(ValueError):
-        FlowConfig(g=IDENTITY, t_final=1.0, dt=0.1, method="exact")
     cfg = FlowConfig(g=IDENTITY, t_final=0.0, dt=0.5)  # t=0 is fine, no steps
     assert len(flow_integrated(np.diag([2.0, 1.0]), cfg)) == 1
 
