@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import InvalidFormat
+from .errors import DimensionMismatch, InvalidFormat
 from .jacobi import MoserCoordinates
 from .polytope import VertexSet, project_sum_zero
 from .slices import Trajectory
@@ -82,9 +82,11 @@ def _build(cls, **fields):
 
 
 def _write_json(doc: dict, path_or_file):
+    """Encode first: a non-finite number, which the readers refuse, raises
+    ValueError before anything reaches disk."""
+    text = json.dumps(doc, indent=2, allow_nan=False)
     with _opened(path_or_file, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _read_json(path_or_file, what: str, keys=(), arrays=()) -> dict:
@@ -140,8 +142,10 @@ def _read_csv(path_or_file, what: str, header_ok) -> np.ndarray:
 
 
 def write_matrix(s, path_or_file):
-    """{"n": n, "data": row-major entries}."""
+    """{"n": n, "data": row-major entries}; refuses what ``read_matrix`` would."""
     a = np.asarray(s, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     _write_json({"n": int(a.shape[0]), "data": _floats(a)}, path_or_file)
 
 

@@ -3,18 +3,24 @@
 This module provides the four primitives everything else is built from:
 
 * ``qr_factor``       -- Householder QR normalized to a positive diagonal of R,
-* ``spectral_decompose`` / ``eigensystem`` -- a cyclic-Jacobi eigensolver,
+* ``spectral_decompose`` / ``eigensystem`` -- a round-robin Jacobi eigensolver
+  (Brent-Luk order: each round applies disjoint rotations as one matrix),
+  optionally warm-started from a nearby eigenbasis,
 * ``apply_function``  -- scalar functions of a symmetric matrix via its spectrum,
 * ``skew_part`` / ``upper_part`` -- the unique skew + upper-triangular splitting.
 
 The eigensolver is deliberately *not* QR-based: QR iteration is one of the
 objects under study here, so the reference spectral routine must not share
-machinery with it.  Everything operates on plain numpy arrays at desk scale
-(dimensions 2..12); all functions are pure.
+machinery with it.  The QR factorization and the eigensolver divide their
+input by a power of two of its largest entry (exact) and scale the result
+back, and the norms do the same at extreme scales, so results do not depend
+on the input's scale.  Everything operates on plain numpy arrays at desk
+scale (dimensions 2 to a few dozen); all functions are pure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +36,7 @@ JACOBI_SWEEP_RTOL = 1e-13    # off-diagonal Frobenius target of the eigensolver
 SIMPLE_SPECTRUM_RTOL = 1e-9  # minimum eigenvalue gap counted as "simple"
 _MAX_SWEEPS = 50
 _SIGN_PICK_TOL = 1e-12       # "first nonzero" cutoff for the eigenvector sign fix
+START_ORTHO_TOL = 1e-12      # max |u u^T - I| of an eigensolver warm start
 
 
 def as_square(m) -> np.ndarray:
@@ -68,14 +75,36 @@ def as_symmetric(m) -> np.ndarray:
     return symmetrize(a)
 
 
+def _binade(a: np.ndarray) -> int:
+    """Exponent e with max|a| in [2^(e-1), 2^e); 0 for an all-zero array.
+
+    Dividing by 2^e is exact, and it brings the entries to at most 1, where
+    their squares can neither overflow nor, for the entries that matter,
+    underflow.
+    """
+    top = float(np.abs(a).max()) if a.size else 0.0
+    return math.frexp(top)[1] if top > 0.0 else 0
+
+
 def frobenius(m) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=float)))
+    """Frobenius norm, finite at any scale whose true norm is a finite double.
+
+    With max|m| between 2^-200 and 2^500 the plain norm is used: no square
+    that matters can underflow, none can overflow.  Outside that range
+    (1e-170 * S, 1e160 * S) the norm is taken of m divided by a power of two
+    and scaled back.
+    """
+    a = np.asarray(m, dtype=float)
+    e = _binade(a)
+    if -200 <= e <= 500:
+        return float(np.linalg.norm(a))
+    return math.ldexp(float(np.linalg.norm(np.ldexp(a, -e))), e)
 
 
 def offdiag_norm(s) -> float:
     """Frobenius norm of the off-diagonal part."""
     a = np.asarray(s, dtype=float)
-    return float(np.linalg.norm(a - np.diag(np.diag(a))))
+    return frobenius(a - np.diag(np.diag(a)))
 
 
 def qr_factor(m, singular_rtol: float = SINGULAR_RTOL) -> tuple[np.ndarray, np.ndarray]:
@@ -85,12 +114,15 @@ def qr_factor(m, singular_rtol: float = SINGULAR_RTOL) -> tuple[np.ndarray, np.n
     diagonal of r the factorization is the unique one in this normalization.
     Raises SingularMatrix when the smallest |r[k][k]| (the cheap singularity
     estimate the factorization itself provides) falls at or below
-    ``singular_rtol * ||m||``.
+    ``singular_rtol * ||m||``.  The reflections run on m / 2^e, with 2^e the
+    power of two just above max|m| (exact), so no column norm overflows or
+    underflows; r is scaled back at the end.
     """
     a = as_square(m)
     n = a.shape[0]
-    scale = frobenius(a)
-    r = a.copy()
+    e = _binade(a)
+    r = np.ldexp(a, -e)
+    scale = float(np.linalg.norm(r))  # max|r| < 1: the plain norm is safe
     q = np.eye(n)
     for k in range(n - 1):
         x = r[k:, k]
@@ -112,17 +144,17 @@ def qr_factor(m, singular_rtol: float = SINGULAR_RTOL) -> tuple[np.ndarray, np.n
     small = float(np.min(np.abs(diag)))
     if small <= threshold:
         raise SingularMatrix(
-            f"diagonal of R has magnitude {small:.3e}, at or below "
-            f"threshold {threshold:.3e}; matrix is numerically singular"
+            f"diagonal of R has magnitude {math.ldexp(small, e):.3e}, at or below "
+            f"threshold {math.ldexp(threshold, e):.3e}; matrix is numerically singular"
         )
     signs = np.where(diag < 0.0, -1.0, 1.0)
     q = q * signs
-    r = signs[:, None] * r
+    r = np.ldexp(signs[:, None] * r, e)
     return q, r
 
 
-def eigensystem(s) -> tuple[np.ndarray, np.ndarray]:
-    """Raw symmetric eigensystem by cyclic Jacobi rotations.
+def eigensystem(s, *, start=None) -> tuple[np.ndarray, np.ndarray]:
+    """Raw symmetric eigensystem by round-robin Jacobi rotations.
 
     Returns ``(lam, q)`` with eigenvalues sorted in descending order and the
     *rows* of q holding the matching unit eigenvectors, sign-fixed so the first
@@ -131,54 +163,97 @@ def eigensystem(s) -> tuple[np.ndarray, np.ndarray]:
     :func:`spectral_decompose` when a simple spectrum is part of the contract.
 
     Sweeps run until the off-diagonal Frobenius norm drops below
-    ``1e-13 * ||s||``.
+    ``1e-13 * ||s||``.  ``start``, an orthogonal matrix whose rows nearly
+    diagonalize ``s`` (the ``q`` of a nearby matrix), warm-starts the sweeps
+    from ``start @ s @ start.T``; the result is the same eigensystem to
+    roundoff, in fewer sweeps.  A start that is not an n x n finite matrix
+    orthogonal to 1e-12 is refused.
     """
-    return _jacobi_eigensystem(as_symmetric(s))
+    a = as_symmetric(s)
+    if start is None:
+        return _jacobi_eigensystem(a)
+    u = np.asarray(start, dtype=float)
+    if u.shape != a.shape:
+        raise DimensionMismatch(f"start must have shape {a.shape}, got {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("start entries must be finite")
+    gap = u @ u.T - np.eye(len(u))
+    if float(np.abs(gap).max()) > START_ORTHO_TOL:
+        raise ValueError(f"start is not orthogonal to {START_ORTHO_TOL:g}")
+    # one Newton-Schulz step squares the gap, so a chain of warm starts,
+    # each fed the last result, does not drift away from orthogonal
+    return _jacobi_eigensystem(a, u - 0.5 * gap @ u)
 
 
-def _jacobi_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sweep behind ``eigensystem``, on a validated symmetric matrix (left unchanged)."""
-    a = a.copy()
+@functools.cache
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Brent-Luk round-robin schedule for n indices, built on first use.
+
+    Each round pairs the indices into disjoint (p, t), p < t; the n - 1
+    rounds of a sweep (n rounds for odd n, whose dummy index sits out one
+    index per round) meet every pair exactly once.  Per round: p, t, then the
+    (row, column) positions of the diagonal and off-diagonal entries that a
+    round reads, then those it writes into the rotation matrix.
+    """
+    players = list(range(n + n % 2))  # index n is the dummy for odd n
+    rounds = []
+    for _ in range(len(players) - 1):
+        half = len(players) // 2
+        pairs = sorted((min(i, j), max(i, j)) for i, j in
+                       zip(players[:half], players[::-1][:half]) if max(i, j) < n)
+        p, t = (np.array(side) for side in zip(*pairs))
+        arrays = (p, t, np.concatenate((p, t, p)), np.concatenate((p, t, t)),
+                  np.concatenate((p, t, p, t)), np.concatenate((p, t, t, p)))
+        for x in arrays:
+            x.flags.writeable = False  # shared by every caller through the cache
+        rounds.append(arrays)
+        players = players[:1] + players[-1:] + players[1:-1]
+    return tuple(rounds)
+
+
+def _jacobi_eigensystem(a: np.ndarray, start: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """The sweeps behind ``eigensystem``, on a validated symmetric matrix.
+
+    The matrix is divided by a power of two of its largest entry first (exact)
+    and the eigenvalues multiplied back, so the tolerance neither underflows
+    nor overflows at any scale.  Each round applies its disjoint rotations as
+    one orthogonal matrix r, each angle the inner one (|phi| <= pi/4) that
+    zeroes its pair: a <- r.T a r, v <- v r.
+    """
     n = a.shape[0]
-    scale = frobenius(a)
-    tol = JACOBI_SWEEP_RTOL * scale
-    skip = tol / (4.0 * n * n)
-    v = np.eye(n)
+    e = _binade(a)
+    a = np.ldexp(a, -e)
+    eye = np.eye(n)
+    if start is None:
+        v = eye
+    else:
+        a = symmetrize(start @ a @ start.T)
+        v = start.T.copy()
+    # max|a| < 1 now, so plain norms are safe
+    tol = JACOBI_SWEEP_RTOL * np.linalg.norm(a)
     sweeps = 0
-    while offdiag_norm(a) > tol:
+    while np.linalg.norm(a - np.diag(np.diag(a))) > tol:
         if sweeps >= _MAX_SWEEPS:
-            raise ArithmeticError("cyclic Jacobi eigensolver failed to converge")
-        for p in range(n - 1):
-            for t in range(p + 1, n):
-                apt = a[p, t]
-                if abs(apt) <= skip:
-                    continue
-                phi = 0.5 * math.atan2(2.0 * apt, a[t, t] - a[p, p])
-                c = math.cos(phi)
-                sn = math.sin(phi)
-                cp = a[:, p].copy()
-                ct = a[:, t].copy()
-                a[:, p] = c * cp - sn * ct
-                a[:, t] = sn * cp + c * ct
-                rp = a[p, :].copy()
-                rt = a[t, :].copy()
-                a[p, :] = c * rp - sn * rt
-                a[t, :] = sn * rp + c * rt
-                a[p, t] = a[t, p] = 0.0
-                vp = v[:, p].copy()
-                vt = v[:, t].copy()
-                v[:, p] = c * vp - sn * vt
-                v[:, t] = sn * vp + c * vt
+            raise ArithmeticError("Jacobi eigensolver failed to converge")
+        for p, t, read_rows, read_cols, rows, cols in _round_robin(n):
+            k = len(p)
+            entries = a[read_rows, read_cols]
+            app, att, apt = entries[:k], entries[k:2 * k], entries[2 * k:]
+            d = att - app
+            phi = 0.5 * np.arctan2(apt * np.copysign(2.0, d), np.abs(d))
+            c, sn = np.cos(phi), np.sin(phi)
+            r = eye.copy()
+            r[rows, cols] = np.concatenate((c, c, sn, -sn))
+            a = r.T @ a @ r
+            v = v @ r
         sweeps += 1
-    lam = np.diag(a).copy()
+    lam = np.ldexp(np.diag(a), e)
     order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    q = v[:, order].T.copy()
-    for row in q:
-        first = int(np.argmax(np.abs(row) > _SIGN_PICK_TOL))
-        if row[first] < 0.0:
-            row *= -1.0
-    return lam, q
+    q = v[:, order].T
+    first = np.argmax(np.abs(q) > _SIGN_PICK_TOL, axis=1)
+    flip = q[np.arange(n), first] < 0.0
+    return lam[order], np.where(flip[:, None], -q, q)
 
 
 @dataclass(frozen=True)
@@ -199,7 +274,7 @@ def spectral_decompose(s) -> SpectralDecomposition:
     ``1e-9 * ||s||``.
     """
     lam, q = eigensystem(s)
-    scale = float(np.linalg.norm(lam))
+    scale = frobenius(lam)
     gaps = lam[:-1] - lam[1:]
     if np.any(gaps <= SIMPLE_SPECTRUM_RTOL * scale):
         worst = float(np.min(gaps))

@@ -177,14 +177,32 @@ def _hamilton_field(z: np.ndarray) -> np.ndarray:
 
 def toda_field(s, g: SpectralFunction) -> np.ndarray:
     """Lax vector field [s, skew_part(g(s))]; g must be defined on the spectrum."""
-    return _lax_field(as_symmetric(s), g)
+    a = as_symmetric(s)
+    return _lax_field(a, a if g.kind == "identity" else apply_function(a, g))
 
 
-def _lax_field(a: np.ndarray, g: SpectralFunction) -> np.ndarray:
-    # trusted: a is a validated, exactly symmetric float array
-    lower = np.tril(a if g.kind == "identity" else apply_function(a, g), -1)
+def _lax_field(a: np.ndarray, ga: np.ndarray) -> np.ndarray:
+    # trusted: a is a validated, exactly symmetric float array and ga is g(a)
+    lower = np.tril(ga, -1)
     skew = lower - lower.T  # the skew_part formula, without its validation
     return symmetrize(a @ skew - skew @ a)
+
+
+def _warm_lax_field(g: SpectralFunction):
+    """The Lax field for g != identity, each eigensolve started from the last basis.
+
+    Successive RK4 stages differ by O(dt), so the eigenvectors of one nearly
+    diagonalize the next and Jacobi converges in fewer sweeps.
+    """
+    basis = None
+
+    def field(a: np.ndarray) -> np.ndarray:
+        nonlocal basis
+        lam, basis = eigensystem(a, start=basis)
+        w = function_values(g, lam, frobenius(a))
+        return _lax_field(a, symmetrize((basis.T * w) @ basis))
+
+    return field
 
 
 def interpolating_field(s) -> np.ndarray:
@@ -281,10 +299,13 @@ def flow_integrated(s0, config: FlowConfig) -> Trajectory:
     """Classical RK4 on the Lax field, recording every step.
 
     The field is exactly symmetric, so every state stays exactly symmetric.
+    For g != identity each stage's eigensolve is warm-started from the
+    eigenbasis of the stage before.
     """
     times = time_grid(config.t_final, config.dt)
     g = config.g
-    states = _rk4(lambda a: _lax_field(a, g), as_symmetric(s0), times)
+    field = (lambda a: _lax_field(a, a)) if g.kind == "identity" else _warm_lax_field(g)
+    states = _rk4(field, as_symmetric(s0), times)
     return Trajectory(times=times, states=states)
 
 

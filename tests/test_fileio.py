@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from matslice import (
+    DimensionMismatch,
     InvalidFormat,
     MoserCoordinates,
     Trajectory,
@@ -279,3 +280,27 @@ def test_report_round_trip():
     back, text = roundtrip(write_report, read_report, rep)
     assert back == rep
     assert text.endswith("\n")
+
+
+# ------------------------------------------------- writers match the readers
+
+@pytest.mark.parametrize("bad, error", [
+    ([[np.nan, 0.0], [0.0, 1.0]], ValueError),
+    ([[np.inf, 0.0], [0.0, 1.0]], ValueError),
+    ([1.0, 2.0, 3.0], DimensionMismatch),
+    ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], DimensionMismatch),
+], ids=["nan", "inf", "1-d", "2x3"])
+def test_write_matrix_refuses_what_read_matrix_refuses(tmp_path, bad, error):
+    path = tmp_path / "m.json"
+    with pytest.raises(error):
+        write_matrix(bad, path)
+    assert not path.exists()
+
+
+def test_json_writers_refuse_non_finite_numbers(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        write_report({"steps": 3, "final_offdiag": np.nan}, path)
+    with pytest.raises(ValueError):
+        write_point([1.0, np.inf], path)
+    assert not path.exists()

@@ -19,6 +19,7 @@ from matslice import (
     function_values,
     offdiag_norm,
     qr_factor,
+    random_orthogonal,
     skew_part,
     spectral_decompose,
     symmetrize,
@@ -117,6 +118,61 @@ def test_eigensystem_matches_lapack():
                             atol=1e-12 * max(1.0, frobenius(s)))
         npt.assert_allclose(q @ q.T, np.eye(n), atol=1e-13)
         npt.assert_allclose((q.T * lam) @ q, s, atol=1e-12 * max(1.0, frobenius(s)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 32, 33])
+def test_eigensystem_matches_lapack_at_sizes(n):
+    s = symmetrize(np.random.default_rng(100 + n).normal(size=(n, n)))
+    lam, q = eigensystem(s)
+    npt.assert_allclose(lam, np.sort(np.linalg.eigvalsh(s))[::-1],
+                        atol=1e-12 * max(1.0, frobenius(s)))
+    npt.assert_allclose(q @ q.T, np.eye(n), atol=1e-13)
+    npt.assert_allclose((q.T * lam) @ q, s, atol=1e-12 * max(1.0, frobenius(s)))
+
+
+def test_round_robin_rounds_are_disjoint_and_sweeps_cover_every_pair():
+    for n in range(2, 34):
+        seen = []
+        for p, t, *_ in linalg._round_robin(n):
+            touched = np.concatenate((p, t))
+            assert len(set(touched.tolist())) == len(touched), n  # disjoint
+            assert np.all(p < t) and touched.max() < n, n
+            seen += list(zip(p.tolist(), t.tolist()))
+        assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)], n
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_warm_start_gives_the_cold_eigensystem(n):
+    rng = np.random.default_rng(41 + n)
+    s = symmetrize(rng.normal(size=(n, n)))
+    scale = frobenius(s)
+    lam, q = eigensystem(s)
+    _, unrelated = eigensystem(symmetrize(rng.normal(size=(n, n))))
+    for start in (np.eye(n), random_orthogonal(n, rng), q, unrelated):
+        lam_w, q_w = eigensystem(s, start=start)
+        npt.assert_allclose(lam_w, lam, atol=1e-12 * scale)
+        npt.assert_allclose((q_w.T * lam_w) @ q_w, s, atol=1e-12 * scale)
+        npt.assert_allclose(q_w @ q_w.T, np.eye(n), atol=1e-13)
+
+
+def test_warm_start_refuses_a_bad_start():
+    s = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    skewed = np.eye(3)
+    skewed[0, 1] = 1e-9
+    inf = np.eye(3)
+    inf[2, 2] = np.inf
+    with pytest.raises(ValueError, match="orthogonal"):
+        eigensystem(s, start=skewed)
+    with pytest.raises(ValueError, match="orthogonal"):
+        eigensystem(s, start=2.0 * np.eye(3))
+    with pytest.raises(ValueError, match="finite"):
+        eigensystem(s, start=inf)
+    with pytest.raises(DimensionMismatch):
+        eigensystem(s, start=np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        eigensystem(s, start=np.eye(3)[:2])
+    with pytest.raises(TypeError):
+        eigensystem(s, np.eye(3))  # keyword only
 
 
 def test_eigensystem_row_sign_convention():

@@ -32,6 +32,7 @@ from matslice import (
     time_grid,
     toda_field,
 )
+from matslice import toda
 from conftest import maxabs
 
 IDENTITY = SpectralFunction.identity()
@@ -234,6 +235,35 @@ def test_integrator_is_fourth_order():
         errs.append(maxabs(traj.final - exact))
     order = math.log2(errs[0] / errs[1])
     assert order >= 3.7, f"observed order {order:.2f}"
+
+
+def test_long_log_flow_stays_on_the_factorized_flow():
+    # 2000 steps, 8000 eigensolves, each warm-started from the one before
+    rng = np.random.default_rng(607)
+    s = random_jacobi(4, rng, spectrum=[3.0, 1.8, 1.2, 0.6])
+    log = SpectralFunction.log()
+    traj = flow_integrated(s, FlowConfig(g=log, t_final=2.0, dt=1e-3))
+    assert maxabs(traj.final - flow_factorized(s, log, 2.0)) < 1e-6 * frobenius(s)
+
+
+def test_warm_started_flow_matches_cold_eigensolves(monkeypatch):
+    rng = np.random.default_rng(613)
+    s = random_jacobi(5, rng, spectrum=[4.0, 3.1, 2.0, 1.2, 0.5])
+    cfg = FlowConfig(g=SpectralFunction.log(), t_final=0.2, dt=0.01)
+    solve = toda.eigensystem
+    warm_starts = []
+
+    def spy(a, start=None):
+        warm_starts.append(start is not None)
+        return solve(a, start=start)
+
+    monkeypatch.setattr(toda, "eigensystem", spy)
+    warm = flow_integrated(s, cfg)
+    assert warm_starts == [False] + [True] * 79  # four stages per step
+    monkeypatch.setattr(toda, "eigensystem", lambda a, start=None: solve(a))
+    cold = flow_integrated(s, cfg)
+    for x, y in zip(warm.states, cold.states):
+        assert maxabs(x - y) < 1e-13 * frobenius(s)
 
 
 def test_integrated_partial_final_step():
