@@ -208,17 +208,13 @@ def _cmd_polytope(args) -> int:
 
 def _cmd_random(args) -> int:
     rng = default_rng(args.seed)
-    extras = {"kind": args.kind, "seed": args.seed}
     if args.kind == "spectrum":
-        lam = descending_spectrum(args.n, rng)
-        doc = {"lambda": [float(v) for v in lam], **extras}
+        doc = {"lambda": [float(v) for v in descending_spectrum(args.n, rng)]}
+    elif args.kind == "jacobi":
+        doc = fileio.matrix_document(random_jacobi(args.n, rng, spectrum=args.spectrum))
     else:
-        if args.kind == "jacobi":
-            m = random_jacobi(args.n, rng, spectrum=args.spectrum)
-        else:
-            m = random_symmetric(args.n, rng)
-        doc = {"n": int(m.shape[0]), "data": [float(v) for v in m.ravel()], **extras}
-    fileio.write_report(doc, _dst(args.out))
+        doc = fileio.matrix_document(random_symmetric(args.n, rng))
+    fileio.write_report({**doc, "kind": args.kind, "seed": args.seed}, _dst(args.out))
     return 0
 
 

@@ -141,12 +141,16 @@ def _read_csv(path_or_file, what: str, header_ok) -> np.ndarray:
     return np.array(values)
 
 
-def write_matrix(s, path_or_file):
+def matrix_document(s) -> dict:
     """{"n": n, "data": row-major entries}; refuses what ``read_matrix`` would."""
     a = np.asarray(s, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    _write_json({"n": int(a.shape[0]), "data": _floats(a)}, path_or_file)
+    return {"n": int(a.shape[0]), "data": _floats(a)}
+
+
+def write_matrix(s, path_or_file):
+    _write_json(matrix_document(s), path_or_file)
 
 
 def read_matrix(path_or_file) -> np.ndarray:

@@ -14,31 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import NotJacobi, ReconstructionFailure
-from .linalg import as_square, as_symmetric, frobenius, spectral_decompose
+from .linalg import as_square, as_symmetric
 
-TRIDIAG_RTOL = 1e-12        # band check tolerance, relative to ||s||
 WEIGHT_FLOOR = 1e-10        # refuse reconstruction below this first-coordinate size
 LANCZOS_BREAKDOWN = 1e-12   # off-diagonal breakdown threshold inside Lanczos
 COORDINATE_GAP_RTOL = 1e-9  # descending-eigenvalue gap required of coordinates
 
 
 def is_tridiagonal(s) -> bool:
-    """No entry off the tridiagonal band exceeds 1e-12 * ||s|| in magnitude.
-
-    The tolerance leaves room for the roundoff of QR-type steps and flows,
-    which keep the band only up to a few 1e-14 * ||s||.  The input must be
-    a finite square matrix of dimension >= 2, as everywhere else.
-    """
-    a = as_square(s)
-    off_band = np.triu(a, 2) + np.tril(a, -2)  # disjoint supports: the sum is exact
-    return bool(np.abs(off_band).max() <= TRIDIAG_RTOL * frobenius(a))
+    """No entry off the tridiagonal band exceeds 1e-12 * ||s|| in magnitude."""
+    return kernels.is_tridiagonal(as_square(s))
 
 
 def is_jacobi(s) -> bool:
     """Tridiagonal within 1e-12 * ||s|| off the band, with superdiagonal > 0."""
-    a = as_symmetric(s)
-    return is_tridiagonal(a) and bool(np.all(np.diag(a, 1) > 0.0))
+    return kernels.is_jacobi(as_symmetric(s))
 
 
 @dataclass
@@ -81,16 +73,17 @@ def moser_coordinates(j) -> MoserCoordinates:
     positive for genuinely Jacobi input; a nonpositive coordinate therefore
     means numerically reducible input and raises NotJacobi.
     """
-    if not is_jacobi(j):
+    a = as_symmetric(j)
+    if not kernels.is_jacobi(a):
         raise NotJacobi("input is not tridiagonal with a positive superdiagonal")
-    dec = spectral_decompose(j)
-    w = dec.q[:, 0].copy()
+    lam, q = kernels.simple_eigensystem(a)
+    w = q[:, 0].copy()
     if float(w.min()) <= 0.0:
         raise NotJacobi(
             "first eigenvector coordinates are not strictly positive; "
             "input is numerically reducible"
         )
-    return MoserCoordinates(lam=dec.lam.copy(), w=w)
+    return MoserCoordinates(lam=lam, w=w)
 
 
 def moser_reconstruct(lam, w) -> np.ndarray:

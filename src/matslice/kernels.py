@@ -1,0 +1,227 @@
+"""Trusted kernels: the numerical cores behind the public functions.
+
+Nothing here validates.  A kernel expects what its public caller checked
+once: a finite square float array, n >= 2, exactly symmetric where it reads
+a symmetric matrix.  The eigensolver is deliberately *not* QR-based, since QR
+iteration is one of the objects under study.  QR and the eigensolver divide
+their input by a power of two of its largest entry (exact) and scale the
+result back, and the norms do the same at extreme scales, so results do not
+depend on the input's scale.  Imports nothing of matslice but ``errors``.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+
+from .errors import DegenerateSpectrum, SingularMatrix
+
+# Relative tolerances, sized for double precision at n <= 12.
+SINGULAR_RTOL = 1e-12        # invertibility threshold on diag(R), relative to ||m||
+JACOBI_SWEEP_RTOL = 1e-13    # off-diagonal Frobenius target of the eigensolver
+SIMPLE_SPECTRUM_RTOL = 1e-9  # minimum eigenvalue gap counted as "simple"
+TRIDIAG_RTOL = 1e-12         # band check tolerance, relative to ||s||
+IRREDUCIBLE_RTOL = 1e-12     # off-diagonal coupling threshold for the adjacency graph
+_MAX_SWEEPS = 50
+_SIGN_PICK_TOL = 1e-12       # "first nonzero" cutoff for the eigenvector sign fix
+
+
+def _binade(a: np.ndarray) -> int:
+    """Exponent e with max|a| in [2^(e-1), 2^e), 0 for all zeros: dividing by
+    2^e is exact and brings the entries to at most 1, where their squares
+    neither overflow nor, for the entries that matter, underflow."""
+    top = float(np.abs(a).max()) if a.size else 0.0
+    return math.frexp(top)[1] if top > 0.0 else 0
+
+
+def frobenius(m) -> float:
+    """Frobenius norm, finite at any scale whose true norm is a finite double.
+
+    With max|m| between 2^-200 and 2^500 the plain norm is used: no square
+    that matters can underflow, none can overflow.  Outside that range the
+    norm is taken of m divided by a power of two and scaled back.
+    """
+    a = np.asarray(m, dtype=float)
+    e = _binade(a)
+    if -200 <= e <= 500:
+        return float(np.linalg.norm(a))
+    return math.ldexp(float(np.linalg.norm(np.ldexp(a, -e))), e)
+
+
+def symmetrize(m) -> np.ndarray:
+    """Average a matrix with its transpose (exact for already-symmetric input)."""
+    a = np.asarray(m, dtype=float)
+    return 0.5 * (a + a.T)
+
+
+def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a = q @ r`` with q orthogonal and r upper triangular, diag(r) >= 0.
+
+    Householder reflections, then a diagonal sign fix (a positive diagonal
+    makes the factorization unique).  They run on a / 2^e, 2^e just above
+    max|a|, so no column norm overflows; the norms of a column and of its
+    reflector v are taken without squaring entries, because x.x of a faint
+    column (entries near 1e-246) underflows to 0.
+    """
+    n = a.shape[0]
+    e = _binade(a)
+    r = np.ldexp(a, -e)
+    q = np.eye(n)
+    for k in range(n - 1):
+        x = r[k:, k]
+        nx = math.hypot(*x)
+        if nx == 0.0:
+            continue  # column already annihilated; r[k, k] stays 0
+        alpha = -nx if x[0] >= 0.0 else nx
+        v = x.copy()
+        v[0] -= alpha
+        v /= math.sqrt(2.0 * nx) * math.sqrt(nx + abs(x[0]))  # |v|, as roots of 2 nx (nx + |x0|)
+        r[k:, k:] -= np.outer(2.0 * v, v @ r[k:, k:])
+        r[k, k] = alpha
+        r[k + 1:, k] = 0.0
+        q[:, k:] -= np.outer(q[:, k:] @ v, 2.0 * v)
+    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return q * signs, np.ldexp(signs[:, None] * r, e)
+
+
+def invertible_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``householder_qr``, raising SingularMatrix when the smallest |r[k][k]|
+    (the cheap singularity estimate the factorization itself provides) falls
+    at or below ``1e-12 * ||a||``."""
+    q, r = householder_qr(a)
+    small, threshold = float(np.abs(np.diag(r)).min()), SINGULAR_RTOL * frobenius(a)
+    if small <= threshold:
+        raise SingularMatrix(
+            f"diagonal of R has magnitude {small:.3e}, at or below "
+            f"threshold {threshold:.3e}; matrix is numerically singular"
+        )
+    return q, r
+
+
+@functools.cache
+def round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Brent-Luk round-robin schedule for n indices, built on first use.
+
+    Each round pairs the indices into disjoint (p, t), p < t; the n - 1
+    rounds of a sweep (n rounds for odd n, whose dummy index sits out one
+    index per round) meet every pair exactly once.  Per round: p, t, then the
+    (row, column) positions of the diagonal and off-diagonal entries that a
+    round reads, then those it writes into the rotation matrix.
+    """
+    players = list(range(n + n % 2))  # index n is the dummy for odd n
+    rounds = []
+    for _ in range(len(players) - 1):
+        half = len(players) // 2
+        pairs = sorted((min(i, j), max(i, j)) for i, j in
+                       zip(players[:half], players[::-1][:half]) if max(i, j) < n)
+        p, t = (np.array(side) for side in zip(*pairs))
+        arrays = (p, t, np.concatenate((p, t, p)), np.concatenate((p, t, t)),
+                  np.concatenate((p, t, p, t)), np.concatenate((p, t, t, p)))
+        for x in arrays:
+            x.flags.writeable = False  # shared by every caller through the cache
+        rounds.append(arrays)
+        players = players[:1] + players[-1:] + players[1:-1]
+    return tuple(rounds)
+
+
+def jacobi_eigensystem(a: np.ndarray, start: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric eigensystem ``(lam, q)`` by round-robin Jacobi rotations,
+    laid out as ``linalg.eigensystem`` documents.
+
+    Sweeps run on a / 2^e until the off-diagonal norm drops below
+    ``1e-13 * ||a||``.  Each round applies its disjoint rotations as one
+    orthogonal matrix r, each angle the inner one (|phi| <= pi/4) that zeroes
+    its pair: a <- r.T a r, v <- v r.  ``start``, an orthogonal matrix whose
+    rows nearly diagonalize ``a`` (the q of a nearby matrix), warm-starts the
+    sweeps from ``start @ a @ start.T``: the same eigensystem to roundoff, in
+    fewer sweeps.  One Newton-Schulz step first squares the start's distance
+    from orthogonal, so a chain of starts, each the last result, cannot drift.
+    """
+    n = a.shape[0]
+    e = _binade(a)
+    a = np.ldexp(a, -e)
+    eye = np.eye(n)
+    if start is None:
+        v = eye
+    else:
+        u = start - 0.5 * (start @ start.T - eye) @ start
+        a = symmetrize(u @ a @ u.T)
+        v = u.T.copy()
+    # max|a| < 1 now, so plain norms are safe
+    tol = JACOBI_SWEEP_RTOL * np.linalg.norm(a)
+    sweeps = 0
+    while np.linalg.norm(a - np.diag(np.diag(a))) > tol:
+        if sweeps >= _MAX_SWEEPS:
+            raise ArithmeticError("Jacobi eigensolver failed to converge")
+        for p, t, read_rows, read_cols, rows, cols in round_robin(n):
+            k = len(p)
+            entries = a[read_rows, read_cols]
+            app, att, apt = entries[:k], entries[k:2 * k], entries[2 * k:]
+            d = att - app
+            phi = 0.5 * np.arctan2(apt * np.copysign(2.0, d), np.abs(d))
+            c, sn = np.cos(phi), np.sin(phi)
+            r = eye.copy()
+            r[rows, cols] = np.concatenate((c, c, sn, -sn))
+            a = r.T @ a @ r
+            v = v @ r
+        sweeps += 1
+    lam = np.ldexp(np.diag(a), e)
+    order = np.argsort(-lam, kind="stable")
+    q = v[:, order].T
+    first = np.argmax(np.abs(q) > _SIGN_PICK_TOL, axis=1)
+    flip = q[np.arange(n), first] < 0.0
+    return lam[order], np.where(flip[:, None], -q, q)
+
+
+def simple_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``jacobi_eigensystem`` behind the simple-spectrum gate: raises
+    DegenerateSpectrum when any eigenvalue gap is at or below
+    ``1e-9 * ||lam||`` (which is ``||a||``)."""
+    lam, q = jacobi_eigensystem(a)
+    threshold = SIMPLE_SPECTRUM_RTOL * frobenius(lam)
+    gaps = lam[:-1] - lam[1:]
+    if np.any(gaps <= threshold):
+        raise DegenerateSpectrum(
+            f"eigenvalue gap {float(np.min(gaps)):.3e} is below the simplicity "
+            f"threshold {threshold:.3e}"
+        )
+    return lam, q
+
+
+def skew_part(a: np.ndarray) -> np.ndarray:
+    """Skew part of the unique skew + upper-triangular splitting: below the
+    diagonal a, above its negated mirror, zero diagonal; exact."""
+    lower = np.tril(a, -1)
+    return lower - lower.T
+
+
+def is_tridiagonal(a: np.ndarray) -> bool:
+    """No entry off the tridiagonal band exceeds 1e-12 * ||a||: room for the
+    roundoff of QR-type steps and flows, which keep the band to 1e-14 * ||a||."""
+    off_band = np.triu(a, 2) + np.tril(a, -2)  # disjoint supports: the sum is exact
+    return bool(np.abs(off_band).max() <= TRIDIAG_RTOL * frobenius(a))
+
+
+def is_jacobi(a: np.ndarray) -> bool:
+    """Tridiagonal within 1e-12 * ||a|| off the band, with superdiagonal > 0."""
+    return is_tridiagonal(a) and bool(np.all(np.diag(a, 1) > 0.0))
+
+
+def is_irreducible(a: np.ndarray) -> bool:
+    """True when no proper coordinate subset spans an invariant subspace.
+
+    Couplings with |a[i][j]| <= 1e-12 * ||a|| count as zero.  A proper subset
+    is invariant exactly when no coupling leaves it, so the matrix is
+    irreducible exactly when its coupling graph is connected: grow the set
+    reachable from index 0, one layer of neighbours per pass.
+    """
+    n = a.shape[0]
+    coupled = np.abs(a) > IRREDUCIBLE_RTOL * frobenius(a)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    for _ in range(n - 1):
+        reached |= coupled[reached].any(axis=0)
+    return bool(reached.all())

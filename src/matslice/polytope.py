@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import NotIrreducible, TooLarge
-from .linalg import spectral_decompose
-from .slices import is_irreducible
+from .linalg import as_symmetric, spectral_decompose
 
 MINOR_TOL = 1e-10
 FEASIBILITY_TOL = 1e-8
@@ -105,10 +105,11 @@ def accessible_vertices(s) -> VertexSet:
     accepted permutations keeps the n <= 8 cap.  Requires an irreducible
     matrix with simple spectrum.
     """
-    if not is_irreducible(s):
+    a = as_symmetric(s)
+    if not kernels.is_irreducible(a):
         raise NotIrreducible("vertex accessibility needs an irreducible matrix")
-    dec = spectral_decompose(s)
-    n = len(dec.lam)
+    lam, q = kernels.simple_eigensystem(a)
+    n = len(lam)
     if n > MAX_VERTEX_N:
         raise TooLarge(f"checking {n}! permutations is past the desk scale")
     # |det| of the leading k x k minor of the eigenvector matrix on each row
@@ -117,14 +118,14 @@ def accessible_vertices(s) -> VertexSet:
     minors = np.zeros(1 << n)
     for k in range(1, n):
         rows = np.array(list(itertools.combinations(range(n), k)))
-        minors[(1 << rows).sum(axis=1)] = np.abs(np.linalg.det(dec.q[rows, :k]))
+        minors[(1 << rows).sum(axis=1)] = np.abs(np.linalg.det(q[rows, :k]))
     perms = np.array(list(itertools.permutations(range(n))))
     closest = minors[np.cumsum(1 << perms[:, :-1], axis=1)].min(axis=1)
     ok = closest > MINOR_TOL
     accepted = tuple(map(tuple, perms[ok].tolist()))
     near = tuple(map(tuple, perms[ok & (closest < MINOR_TOL * 10.0)].tolist()))
-    points = dec.lam[perms[ok]]
-    return VertexSet(lam=dec.lam.copy(), points=points, perms=accepted,
+    points = lam[perms[ok]]
+    return VertexSet(lam=lam, points=points, perms=accepted,
                      affine_dim=_affine_dim(points), near_threshold=near)
 
 

@@ -18,19 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import kernels
 from .errors import DomainViolation, SingularMatrix
-from .linalg import (
-    SpectralFunction,
-    as_symmetric,
-    eigensystem,
-    frobenius,
-    function_values,
-    qr_factor,
-    spectral_decompose,
-    symmetrize,
-)
+from .kernels import IRREDUCIBLE_RTOL  # the coupling threshold of is_irreducible
+from .linalg import SpectralFunction, as_symmetric, function_values, symmetrize
 
-IRREDUCIBLE_RTOL = 1e-12  # off-diagonal coupling threshold for the adjacency graph
 _EXP_SPREAD_LIMIT = 700.0  # beyond this, weight ratios underflow double precision
 
 
@@ -101,9 +93,18 @@ def weighted_conjugate(lam, q, w) -> np.ndarray:
     # orthogonal and Rtilde stays upper with positive diagonal, so by
     # uniqueness this *is* the orthogonal factor of diag(w) q itself.
     order = np.argsort(-w, kind="stable")
-    qtilde, _ = qr_factor(w[order, None] * q[order, :], singular_rtol=0.0)
+    qtilde, _ = kernels.householder_qr(w[order, None] * q[order, :])
     qf = qtilde[np.argsort(order), :]
     return symmetrize((qf.T * lam) @ qf)
+
+
+def _step(a: np.ndarray, f: SpectralFunction) -> np.ndarray:
+    """``functional_step`` on a validated symmetric array."""
+    if f.kind == "identity":
+        q, r = kernels.invertible_qr(a)
+        return symmetrize(r @ q)
+    lam, q = kernels.jacobi_eigensystem(a)
+    return weighted_conjugate(lam, q, function_values(f, lam))
 
 
 def qr_step(s) -> np.ndarray:
@@ -111,9 +112,7 @@ def qr_step(s) -> np.ndarray:
 
     Requires invertibility only; SingularMatrix propagates from the factorization.
     """
-    a = as_symmetric(s)
-    q, r = qr_factor(a)
-    return symmetrize(r @ q)
+    return _step(as_symmetric(s), SpectralFunction.identity())
 
 
 def functional_step(s, f: SpectralFunction) -> np.ndarray:
@@ -125,11 +124,7 @@ def functional_step(s, f: SpectralFunction) -> np.ndarray:
     f(x) = x^k exactly k of them; scaling f by a positive constant does not
     change the result.
     """
-    if f.kind == "identity":
-        return qr_step(s)
-    a = as_symmetric(s)
-    lam, q = eigensystem(a)
-    return weighted_conjugate(lam, q, function_values(f, lam, frobenius(a)))
+    return _step(as_symmetric(s), f)
 
 
 def fractional_step(s, k: int) -> np.ndarray:
@@ -149,7 +144,7 @@ def iterate_qr(s, steps: int, f: SpectralFunction = SpectralFunction.identity())
     state = as_symmetric(s)
     states = [state]
     for _ in range(int(steps)):
-        state = functional_step(state, f)
+        state = _step(state, f)
         states.append(state)
     return Trajectory(times=np.arange(len(states), dtype=float), states=states)
 
@@ -171,23 +166,10 @@ def slice_point(s, w) -> np.ndarray:
         raise ValueError("weights must be finite")
     if float(w.min()) <= 0.0:
         raise DomainViolation("slice weights must be strictly positive")
-    dec = spectral_decompose(a)
-    return weighted_conjugate(dec.lam, dec.q, w)
+    lam, q = kernels.simple_eigensystem(a)
+    return weighted_conjugate(lam, q, w)
 
 
 def is_irreducible(s) -> bool:
-    """True when no proper coordinate subset spans an invariant subspace.
-
-    Couplings with |s[i][j]| <= 1e-12 * ||s|| count as zero.  A proper subset
-    is invariant exactly when no coupling leaves it, so the matrix is
-    irreducible exactly when its coupling graph is connected: grow the set
-    reachable from index 0, one layer of neighbours per pass.
-    """
-    a = as_symmetric(s)
-    n = a.shape[0]
-    coupled = np.abs(a) > IRREDUCIBLE_RTOL * frobenius(a)
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    for _ in range(n - 1):
-        reached |= coupled[reached].any(axis=0)
-    return bool(reached.all())
+    """True when the coupling graph (|s[i][j]| > 1e-12 * ||s||) is connected."""
+    return kernels.is_irreducible(as_symmetric(s))

@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import NotJacobi, NotTridiagonal
-from .jacobi import is_jacobi, is_tridiagonal
 from .linalg import (
     SpectralFunction,
-    apply_function,
     as_symmetric,
     eigensystem,
     frobenius,
@@ -149,7 +148,7 @@ def inverse_flaschka(j) -> TodaState:
     with a strictly positive superdiagonal.
     """
     a = as_symmetric(j)
-    if not is_jacobi(a):
+    if not kernels.is_jacobi(a):
         raise NotJacobi("inverse change of variables needs a Jacobi matrix")
     n = a.shape[0]
     y = -2.0 * np.diag(a).copy()
@@ -177,30 +176,28 @@ def _hamilton_field(z: np.ndarray) -> np.ndarray:
 
 def toda_field(s, g: SpectralFunction) -> np.ndarray:
     """Lax vector field [s, skew_part(g(s))]; g must be defined on the spectrum."""
-    a = as_symmetric(s)
-    return _lax_field(a, a if g.kind == "identity" else apply_function(a, g))
+    return _field(g)(as_symmetric(s))
 
 
-def _lax_field(a: np.ndarray, ga: np.ndarray) -> np.ndarray:
-    # trusted: a is a validated, exactly symmetric float array and ga is g(a)
-    lower = np.tril(ga, -1)
-    skew = lower - lower.T  # the skew_part formula, without its validation
-    return symmetrize(a @ skew - skew @ a)
+def _field(g: SpectralFunction):
+    """The Lax field of g on validated, exactly symmetric arrays.
 
-
-def _warm_lax_field(g: SpectralFunction):
-    """The Lax field for g != identity, each eigensolve started from the last basis.
-
-    Successive RK4 stages differ by O(dt), so the eigenvectors of one nearly
-    diagonalize the next and Jacobi converges in fewer sweeps.
+    For g != identity each eigensolve starts from the eigenbasis of the call
+    before: successive RK4 stages differ by O(dt), so the eigenvectors of one
+    nearly diagonalize the next and Jacobi converges in fewer sweeps.
     """
+    def lax(a: np.ndarray, ga: np.ndarray) -> np.ndarray:
+        skew = kernels.skew_part(ga)
+        return symmetrize(a @ skew - skew @ a)
+
+    if g.kind == "identity":
+        return lambda a: lax(a, a)
     basis = None
 
     def field(a: np.ndarray) -> np.ndarray:
         nonlocal basis
-        lam, basis = eigensystem(a, start=basis)
-        w = function_values(g, lam, frobenius(a))
-        return _lax_field(a, symmetrize((basis.T * w) @ basis))
+        lam, basis = kernels.jacobi_eigensystem(a, basis)
+        return lax(a, symmetrize((basis.T * function_values(g, lam)) @ basis))
 
     return field
 
@@ -234,9 +231,8 @@ def flow_factorized_trajectory(s0, g: SpectralFunction, times) -> Trajectory:
     Decomposes once and reuses the eigenbasis for every sample.
     """
     times = as_time_grid(times)
-    a = as_symmetric(s0)
-    lam, q = eigensystem(a)
-    vals = function_values(g, lam, frobenius(a))
+    lam, q = kernels.jacobi_eigensystem(as_symmetric(s0))
+    vals = function_values(g, lam)
     states = []
     for t in times:
         exponents = t * vals
@@ -303,9 +299,7 @@ def flow_integrated(s0, config: FlowConfig) -> Trajectory:
     eigenbasis of the stage before.
     """
     times = time_grid(config.t_final, config.dt)
-    g = config.g
-    field = (lambda a: _lax_field(a, a)) if g.kind == "identity" else _warm_lax_field(g)
-    states = _rk4(field, as_symmetric(s0), times)
+    states = _rk4(_field(config.g), as_symmetric(s0), times)
     return Trajectory(times=times, states=states)
 
 
@@ -322,18 +316,15 @@ def detect_clusters(s, tol: float = DEFAULT_BOND_TOL) -> ClusterPartition:
     Raises NotTridiagonal for input with entries outside the band.
     """
     a = as_symmetric(s)
-    if not is_tridiagonal(a):
+    if not kernels.is_tridiagonal(a):
         raise NotTridiagonal("cluster detection needs a tridiagonal matrix")
-    n = a.shape[0]
-    bonds = np.diag(a, 1)
-    broken = tuple(int(k) for k in range(n - 1) if abs(bonds[k]) < tol)
-    blocks = []
-    start = 0
-    for k in broken:
-        blocks.append((start, k + 1))
-        start = k + 1
-    blocks.append((start, n))
-    return ClusterPartition(blocks=tuple(blocks), broken_bonds=broken)
+    broken = _broken_bonds(a, tol)
+    edges = [0, *(k + 1 for k in broken), a.shape[0]]
+    return ClusterPartition(blocks=tuple(zip(edges[:-1], edges[1:])), broken_bonds=broken)
+
+
+def _broken_bonds(a: np.ndarray, tol: float) -> tuple[int, ...]:
+    return tuple(int(k) for k in np.flatnonzero(np.abs(np.diag(a, 1)) < tol))
 
 
 @dataclass
@@ -401,10 +392,8 @@ def convergence_diagnostics(traj: Trajectory, bond_tol: float = DEFAULT_BOND_TOL
     below = np.nonzero(offs < tol)[0]
     converged_at = int(below[0]) if below.size else None
     spectrum, _ = eigensystem(traj.states[0])
-    final = traj.final
-    broken: tuple[int, ...] = ()
-    if is_tridiagonal(final):
-        broken = detect_clusters(final, bond_tol).broken_bonds
+    final = as_symmetric(traj.final)
+    broken = _broken_bonds(final, bond_tol) if kernels.is_tridiagonal(final) else ()
     return ConvergenceReport(
         times=traj.times.copy(),
         offdiag_norms=offs,

@@ -16,7 +16,7 @@ from matslice.fileio import (
     write_matrix,
     write_toda_state,
 )
-from matslice import SpectralFunction, TodaState, frobenius, qr_step, toda
+from matslice import SpectralFunction, TodaState, frobenius, kernels, qr_step
 
 
 def run(*args):
@@ -105,8 +105,8 @@ def test_factorized_trajectory_ends_on_the_output_matrix(tmp_path, jacobi_file):
 
 def test_flow_eigensolves_its_input_once(tmp_path, jacobi_file, monkeypatch):
     calls = []
-    solve = toda.eigensystem
-    monkeypatch.setattr(toda, "eigensystem", lambda s: calls.append(1) or solve(s))
+    solve = kernels.jacobi_eigensystem
+    monkeypatch.setattr(kernels, "jacobi_eigensystem", lambda s: calls.append(1) or solve(s))
     assert run("flow", "--in", jacobi_file, "--g", "log", "--t", "1.0", "--dt", "0.25",
                "--out", tmp_path / "f.json", "--traj", tmp_path / "f.csv") == 0
     assert len(calls) == 1
@@ -167,6 +167,15 @@ def test_random_outputs_are_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     doc = json.loads(p1.read_text())
     assert doc["kind"] == "symmetric" and doc["seed"] == 11
+
+
+@pytest.mark.parametrize("kind, keys", [("symmetric", ["n", "data", "kind", "seed"]),
+                                        ("jacobi", ["n", "data", "kind", "seed"]),
+                                        ("spectrum", ["lambda", "kind", "seed"])])
+def test_random_writes_its_keys_in_a_fixed_order(tmp_path, kind, keys):
+    dst = tmp_path / "r.json"
+    assert run("random", "--kind", kind, "--n", "4", "--seed", "3", "--out", dst) == 0
+    assert list(json.loads(dst.read_text())) == keys
 
 
 def test_random_spectrum_kind(tmp_path):

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -9,23 +11,36 @@ from matslice import (
     DegenerateSpectrum,
     DimensionMismatch,
     DomainViolation,
+    FlowConfig,
     SingularMatrix,
     SpectralFunction,
+    accessible_vertices,
     apply_function,
     as_symmetric,
     commutator,
     eigensystem,
+    flow_factorized,
+    flow_factorized_trajectory,
+    flow_integrated,
     frobenius,
     function_values,
+    functional_step,
+    iterate_qr,
+    moser_coordinates,
     offdiag_norm,
     qr_factor,
+    qr_step,
+    random_jacobi,
     random_orthogonal,
     skew_part,
+    slice_point,
     spectral_decompose,
     symmetrize,
+    toda_field,
     upper_part,
 )
-from matslice import linalg
+import matslice
+from matslice import kernels, linalg
 from conftest import gram_schmidt_qr, horner_matrix, matrix_function_oracle, maxabs
 
 
@@ -133,7 +148,7 @@ def test_eigensystem_matches_lapack_at_sizes(n):
 def test_round_robin_rounds_are_disjoint_and_sweeps_cover_every_pair():
     for n in range(2, 34):
         seen = []
-        for p, t, *_ in linalg._round_robin(n):
+        for p, t, *_ in kernels.round_robin(n):
             touched = np.concatenate((p, t))
             assert len(set(touched.tolist())) == len(touched), n  # disjoint
             assert np.all(p < t) and touched.max() < n, n
@@ -149,30 +164,10 @@ def test_warm_start_gives_the_cold_eigensystem(n):
     lam, q = eigensystem(s)
     _, unrelated = eigensystem(symmetrize(rng.normal(size=(n, n))))
     for start in (np.eye(n), random_orthogonal(n, rng), q, unrelated):
-        lam_w, q_w = eigensystem(s, start=start)
+        lam_w, q_w = kernels.jacobi_eigensystem(s, start)
         npt.assert_allclose(lam_w, lam, atol=1e-12 * scale)
         npt.assert_allclose((q_w.T * lam_w) @ q_w, s, atol=1e-12 * scale)
         npt.assert_allclose(q_w @ q_w.T, np.eye(n), atol=1e-13)
-
-
-def test_warm_start_refuses_a_bad_start():
-    s = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
-    skewed = np.eye(3)
-    skewed[0, 1] = 1e-9
-    inf = np.eye(3)
-    inf[2, 2] = np.inf
-    with pytest.raises(ValueError, match="orthogonal"):
-        eigensystem(s, start=skewed)
-    with pytest.raises(ValueError, match="orthogonal"):
-        eigensystem(s, start=2.0 * np.eye(3))
-    with pytest.raises(ValueError, match="finite"):
-        eigensystem(s, start=inf)
-    with pytest.raises(DimensionMismatch):
-        eigensystem(s, start=np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        eigensystem(s, start=np.eye(3)[:2])
-    with pytest.raises(TypeError):
-        eigensystem(s, np.eye(3))  # keyword only
 
 
 def test_eigensystem_row_sign_convention():
@@ -304,6 +299,58 @@ def test_apply_function_validates_once(monkeypatch):
     assert calls[0] == 1
     eigensystem(s)
     assert calls[0] == 2
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Run a call and count its ``as_square`` checks, in whichever module they run."""
+    check = linalg.as_square
+    calls = [0]
+
+    def counting(m):
+        calls[0] += 1
+        return check(m)
+
+    for info in pkgutil.iter_modules(matslice.__path__):
+        module = importlib.import_module(f"matslice.{info.name}")
+        if getattr(module, "as_square", None) is check:
+            monkeypatch.setattr(module, "as_square", counting)
+
+    def count(call):
+        calls[0] = 0
+        call()
+        return calls[0]
+
+    return count
+
+
+_J4 = random_jacobi(4, np.random.default_rng(5), spectrum=[3.0, 1.8, 1.2, 0.6])
+_LOG = SpectralFunction.log()
+
+
+@pytest.mark.parametrize("name, call", [
+    ("toda_field", lambda: toda_field(_J4, _LOG)),
+    ("qr_step", lambda: qr_step(_J4)),
+    ("functional_step", lambda: functional_step(_J4, SpectralFunction.power(2))),
+    ("slice_point", lambda: slice_point(_J4, [1.0, 0.5, 0.25, 0.125])),
+    ("moser_coordinates", lambda: moser_coordinates(_J4)),
+    ("accessible_vertices", lambda: accessible_vertices(_J4)),
+    ("flow_factorized", lambda: flow_factorized(_J4, _LOG, 1.0)),
+])
+def test_public_functions_validate_their_matrix_once(validations, name, call):
+    assert validations(call) == 1, name
+
+
+@pytest.mark.parametrize("name, call", [
+    ("flow_integrated identity",
+     lambda k: flow_integrated(_J4, FlowConfig(SpectralFunction.identity(), 0.1 * k, 0.1))),
+    ("flow_integrated log", lambda k: flow_integrated(_J4, FlowConfig(_LOG, 0.1 * k, 0.1))),
+    ("iterate_qr", lambda k: iterate_qr(_J4, k)),
+    ("flow_factorized_trajectory",
+     lambda k: flow_factorized_trajectory(_J4, _LOG, np.arange(k) + 0.5)),
+])
+def test_loops_validate_independently_of_their_length(validations, name, call):
+    assert validations(lambda: call(2)) == validations(lambda: call(5)), name
 
 
 # ------------------------------------------------------------ the splitting

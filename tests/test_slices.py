@@ -11,6 +11,7 @@ from matslice import (
     default_rng,
     descending_spectrum,
     eigensystem,
+    flow_factorized,
     fractional_step,
     frobenius,
     functional_step,
@@ -122,6 +123,17 @@ def test_functional_power_twenty_at_n32_matches_plain_steps():
     for _ in range(20):
         walked = qr_step(walked)
     assert maxabs(functional_step(j, SpectralFunction.power(20)) - walked) < 1e-10 * frobenius(j)
+
+
+@pytest.mark.parametrize("n, seed", [(32, 0), (48, 0), (48, 2), (48, 3)])
+def test_weight_spreads_near_the_limit_give_finite_matrices(n, seed):
+    # weights near 1e-246 underflowed the Householder v.v to 0, and both
+    # routes returned hundreds of non-finite entries without an error
+    rng = default_rng(seed)
+    lam = descending_spectrum(n, rng, lo=1.0, hi=1.0 + n / 2, min_gap=0.05)
+    j = random_jacobi(n, rng, spectrum=lam)
+    assert np.all(np.isfinite(functional_step(j, SpectralFunction.power(200))))
+    assert np.all(np.isfinite(flow_factorized(j, SpectralFunction.log(), 200.0)))
 
 
 def test_power_steps_keep_jacobi_matrices_jacobi():

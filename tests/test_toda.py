@@ -32,7 +32,7 @@ from matslice import (
     time_grid,
     toda_field,
 )
-from matslice import toda
+from matslice import kernels
 from conftest import maxabs
 
 IDENTITY = SpectralFunction.identity()
@@ -250,17 +250,17 @@ def test_warm_started_flow_matches_cold_eigensolves(monkeypatch):
     rng = np.random.default_rng(613)
     s = random_jacobi(5, rng, spectrum=[4.0, 3.1, 2.0, 1.2, 0.5])
     cfg = FlowConfig(g=SpectralFunction.log(), t_final=0.2, dt=0.01)
-    solve = toda.eigensystem
+    solve = kernels.jacobi_eigensystem
     warm_starts = []
 
     def spy(a, start=None):
         warm_starts.append(start is not None)
         return solve(a, start=start)
 
-    monkeypatch.setattr(toda, "eigensystem", spy)
+    monkeypatch.setattr(kernels, "jacobi_eigensystem", spy)
     warm = flow_integrated(s, cfg)
     assert warm_starts == [False] + [True] * 79  # four stages per step
-    monkeypatch.setattr(toda, "eigensystem", lambda a, start=None: solve(a))
+    monkeypatch.setattr(kernels, "jacobi_eigensystem", lambda a, start=None: solve(a))
     cold = flow_integrated(s, cfg)
     for x, y in zip(warm.states, cold.states):
         assert maxabs(x - y) < 1e-13 * frobenius(s)
