@@ -126,6 +126,8 @@ class SpectralFunction:
                 raise ValueError("polynomial needs at least one coefficient")
             if self.coeffs[-1] == 0.0 and len(self.coeffs) > 1:
                 raise ValueError("leading polynomial coefficient must be nonzero")
+        if not np.all(np.isfinite([*(self.coeffs or ()), self.scale or 0.0])):
+            raise ValueError("coefficients and scale must be finite")
 
     # -- constructors ------------------------------------------------------
     @classmethod

@@ -14,7 +14,9 @@ carries solutions of Hamilton's equations to solutions of the isospectral Lax
 equation  dS/dt = [S, skew_part(g(S))]  with g(x) = x.  The Lax flow for any g
 admits an exact solution by conjugating with the orthogonal QR factor of
 exp(t * g(S0)); a fixed-step RK4 integrator provides the independent route for
-cross-validation.
+cross-validation.  Its field evaluates a polynomial g by Horner on the matrix;
+only the other g (log, exp, fractional and negative powers) need an
+eigensolve, warm-started from the stage before.
 
 Sign conventions follow Hamilton's equations for the H above:
 dx_k/dt = y_k and dy_k/dt = exp(x_{k-1}-x_k) - exp(x_k-x_{k+1}) with the
@@ -182,7 +184,9 @@ def toda_field(s, g: SpectralFunction) -> np.ndarray:
 def _field(g: SpectralFunction):
     """The Lax field of g on validated, exactly symmetric arrays.
 
-    For g != identity each eigensolve starts from the eigenbasis of the call
+    A polynomial g (``polynomial``, or ``power`` with a nonnegative integer
+    exponent) is evaluated on the matrix by Horner, with no eigensolve.  For
+    every other g each eigensolve starts from the eigenbasis of the call
     before: successive RK4 stages differ by O(dt), so the eigenvectors of one
     nearly diagonalize the next and Jacobi converges in fewer sweeps.
     """
@@ -192,6 +196,17 @@ def _field(g: SpectralFunction):
 
     if g.kind == "identity":
         return lambda a: lax(a, a)
+    if g.kind in ("polynomial", "power") and not (g.requires_positive or g.requires_nonzero):
+        coeffs = g.coeffs or ((0.0,) * int(g.exponent) + (1.0,))
+
+        def horner(a: np.ndarray) -> np.ndarray:
+            ga = np.diag(np.full(len(a), coeffs[-1]))
+            for c in reversed(coeffs[:-1]):
+                ga = ga @ a
+                ga.flat[::len(a) + 1] += c
+            return lax(a, ga)
+
+        return horner
     basis = None
 
     def field(a: np.ndarray) -> np.ndarray:
@@ -295,7 +310,8 @@ def flow_integrated(s0, config: FlowConfig) -> Trajectory:
     """Classical RK4 on the Lax field, recording every step.
 
     The field is exactly symmetric, so every state stays exactly symmetric.
-    For g != identity each stage's eigensolve is warm-started from the
+    A polynomial g is evaluated by Horner, with no eigensolve; for log, exp
+    and the other powers each stage's eigensolve is warm-started from the
     eigenbasis of the stage before.
     """
     times = time_grid(config.t_final, config.dt)

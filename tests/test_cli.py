@@ -241,6 +241,17 @@ def test_bad_function_string_exits_two(tmp_path, jacobi_file, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_coefficients_are_bad_usage(tmp_path, jacobi_file, capsys):
+    # these exited 1 with a misleading "reduce dt" or SingularMatrix message
+    out = tmp_path / "out.json"
+    assert run("flow", "--in", jacobi_file, "--g", "poly:nan,1", "--t", "1",
+               "--method", "integrated", "--out", out) == 2
+    assert run("step", "--in", jacobi_file, "--f", "poly:nan,1", "--out", out) == 2
+    assert run("step", "--in", jacobi_file, "--f", "poly:1,inf", "--out", out) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_usage_exits_two(capsys):
     assert run("flow", "--t", "1.0") == 2       # missing --in
     assert run("no-such-command") == 2

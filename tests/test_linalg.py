@@ -234,6 +234,20 @@ def test_spectral_function_constructor_validation():
     assert f(3.0) == 9.0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SpectralFunction.polynomial([math.nan, 1.0]),
+    lambda: SpectralFunction.polynomial([1.0, -math.inf]),
+    lambda: SpectralFunction.polynomial([math.inf]),
+    lambda: SpectralFunction.scaled_exp(math.inf),
+    lambda: SpectralFunction.scaled_exp(math.nan),
+], ids=["poly nan", "poly -inf lead", "poly inf", "scaled-exp inf", "scaled-exp nan"])
+def test_spectral_function_refuses_non_finite_parameters(make):
+    # a NaN coefficient used to pass the constructor and make toda_field
+    # return an all-NaN matrix without raising
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_apply_function_sqrt_of_diagonal():
     s = np.diag([4.0, 1.0])
     got = apply_function(s, SpectralFunction.power(Fraction(1, 2)))

@@ -1,16 +1,20 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from matslice import (
+    DomainViolation,
     FlowConfig,
     NotJacobi,
     NotTridiagonal,
     SingularMatrix,
     SpectralFunction,
     TodaState,
+    apply_function,
+    commutator,
     convergence_diagnostics,
     detect_clusters,
     flaschka,
@@ -28,7 +32,9 @@ from matslice import (
     particle_flow,
     qr_step,
     random_jacobi,
+    random_symmetric,
     random_with_spectrum,
+    skew_part,
     time_grid,
     toda_field,
 )
@@ -131,6 +137,62 @@ def test_toda_field_keeps_the_band():
     j = random_jacobi(6, rng)
     field = toda_field(j, IDENTITY)
     assert maxabs(np.triu(field, 2)) == 0.0
+
+
+# Polynomial g: the field evaluates g(s) by Horner on the matrix, while
+# apply_function goes through the eigenbasis.  (g, degree)
+POLYNOMIALS = [
+    (SpectralFunction.power(2), 2),
+    (SpectralFunction.power(3), 3),
+    (SpectralFunction.polynomial([0.5, -1.0, 0.25, 2.0]), 3),
+]
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("kind", ["dense", "jacobi"])
+def test_horner_field_matches_the_eigenbasis_field(kind, n):
+    rng = np.random.default_rng(617 + n)
+    s = random_symmetric(n, rng) if kind == "dense" else random_jacobi(n, rng)
+    for g, degree in POLYNOMIALS:
+        want = commutator(s, skew_part(apply_function(s, g)))
+        assert maxabs(toda_field(s, g) - want) < 1e-12 * frobenius(s) ** (degree + 1)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Record, for each call of the eigensolver kernel, whether it was warm-started."""
+    solve = kernels.jacobi_eigensystem
+    warm = []
+
+    def spy(a, start=None):
+        warm.append(start is not None)
+        return solve(a, start)
+
+    monkeypatch.setattr(kernels, "jacobi_eigensystem", spy)
+    return warm
+
+
+def test_polynomial_flows_run_no_eigensolve(eigensolves):
+    s = random_jacobi(5, np.random.default_rng(619))
+    for g, _ in POLYNOMIALS:
+        flow_integrated(s, FlowConfig(g=g, t_final=0.05, dt=0.01))
+        toda_field(s, g)
+    assert eigensolves == []
+
+
+@pytest.mark.parametrize("g", [SpectralFunction.power(Fraction(1, 2)),
+                               SpectralFunction.power(-1), SpectralFunction.exp()],
+                         ids=["pow:1/2", "pow:-1", "exp"])
+def test_other_flows_warm_start_every_eigensolve(eigensolves, g):
+    s = random_jacobi(5, np.random.default_rng(631), spectrum=[4.0, 3.1, 2.0, 1.2, 0.5])
+    flow_integrated(s, FlowConfig(g=g, t_final=0.05, dt=0.01))
+    assert eigensolves == [False] + [True] * 19  # four stages per step
+
+
+def test_field_of_a_negative_power_still_checks_the_spectrum():
+    s = random_with_spectrum([2.0, 0.0, -1.0], np.random.default_rng(641))
+    with pytest.raises(DomainViolation):
+        toda_field(s, SpectralFunction.power(-1))
 
 
 # ---------------------------------------------------------- factorized flow
