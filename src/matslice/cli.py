@@ -29,7 +29,7 @@ from .generate import (
     random_symmetric,
 )
 from .jacobi import moser_coordinates, moser_reconstruct
-from .linalg import SpectralFunction, frobenius, qr_factor
+from .linalg import SpectralFunction, as_vector, frobenius, qr_factor
 from .polytope import accessible_vertices, bfr_map, permutohedron_vertices
 from .slices import functional_step, iterate_qr
 from .toda import (
@@ -62,10 +62,7 @@ def parse_function(text: str) -> SpectralFunction:
         return SpectralFunction.exp()
     if t.startswith("pow:"):
         with _usage(f"bad exponent in {text!r}"):
-            exponent = Fraction(t[4:])
-        if exponent.denominator == 1:
-            return SpectralFunction.power(int(exponent))
-        return SpectralFunction.power(exponent)
+            return SpectralFunction.power(Fraction(t[4:]))
     if t.startswith("poly:"):
         with _usage(f"bad coefficients in {text!r}"):
             return SpectralFunction.polynomial([float(c) for c in t[5:].split(",")])
@@ -75,7 +72,7 @@ def parse_function(text: str) -> SpectralFunction:
 
 def parse_spectrum(text: str) -> np.ndarray:
     with _usage(f"bad spectrum {text!r}"):
-        values = np.array([float(v) for v in text.split(",")])
+        values = as_vector([float(v) for v in text.split(",")], "spectrum")
     if len(values) < 2 or np.any(np.diff(values) >= 0.0):
         raise argparse.ArgumentTypeError(
             "spectrum must list at least two strictly descending values")
@@ -102,6 +99,7 @@ def _number(kind, rule: str, ok):
 _POSITIVE = _number(float, "positive", lambda v: v > 0.0)
 _NONNEGATIVE = _number(float, "nonnegative", lambda v: v >= 0.0)
 _COUNT = _number(int, "at least 1", lambda v: v >= 1)
+_DIMENSION = _number(int, "at least 2", lambda v: v >= 2)
 
 
 def _src(path: str):
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="seeded random instances")
     p.add_argument("--kind", choices=("symmetric", "jacobi", "spectrum"),
                    default="symmetric")
-    p.add_argument("--n", type=_COUNT, default=4)
+    p.add_argument("--n", type=_DIMENSION, default=4)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--spectrum", type=parse_spectrum, default=None,
                    help="comma-separated descending values (jacobi kind only)")

@@ -20,9 +20,9 @@ def default_rng(seed=None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_symmetric(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
     """Symmetrized Gaussian matrix."""
-    return symmetrize(rng.normal(size=(n, n)) * scale)
+    return symmetrize(rng.normal(size=(n, n)))
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

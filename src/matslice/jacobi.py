@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NotJacobi, ReconstructionFailure
-from .linalg import as_square, as_symmetric
+from .linalg import as_square, as_symmetric, as_vector
 
 WEIGHT_FLOOR = 1e-10        # refuse reconstruction below this first-coordinate size
 LANCZOS_BREAKDOWN = 1e-12   # off-diagonal breakdown threshold inside Lanczos
@@ -46,14 +46,10 @@ class MoserCoordinates:
     w: np.ndarray
 
     def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float)
-        self.w = np.asarray(self.w, dtype=float)
-        if self.lam.ndim != 1 or self.w.ndim != 1 or len(self.lam) != len(self.w):
-            raise ValueError("lam and w must be 1-d with equal length")
+        self.lam = as_vector(self.lam, "eigenvalues lam")
+        self.w = as_vector(self.w, "weights w", len(self.lam))
         if len(self.lam) < 2:
             raise ValueError("need at least two eigenvalues")
-        if not (np.all(np.isfinite(self.lam)) and np.all(np.isfinite(self.w))):
-            raise ValueError("coordinates must be finite")
         gaps = self.lam[:-1] - self.lam[1:]
         if np.any(gaps <= COORDINATE_GAP_RTOL * float(np.max(np.abs(self.lam)))):
             raise ValueError("eigenvalues must be strictly descending with clear gaps")
@@ -95,8 +91,7 @@ def moser_reconstruct(lam, w) -> np.ndarray:
     off-diagonal falls below 1e-12.  Validation (descending simple spectrum,
     positive weights) and normalization happen through MoserCoordinates.
     """
-    coords = MoserCoordinates(lam=np.asarray(lam, dtype=float),
-                              w=np.asarray(w, dtype=float))
+    coords = MoserCoordinates(lam=lam, w=w)
     lam = coords.lam
     w = coords.w
     n = len(lam)

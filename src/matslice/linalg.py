@@ -33,6 +33,17 @@ def as_square(m) -> np.ndarray:
     return a
 
 
+def as_vector(v, what: str, n: int | None = None) -> np.ndarray:
+    """Copy ``v`` into a finite 1-d float array of length ``n`` (nonempty if n is None)."""
+    a = np.array(v, dtype=float)
+    if a.ndim != 1 or (len(a) == 0 if n is None else len(a) != n):
+        want = "a nonempty 1-d array" if n is None else f"a 1-d array of length {n}"
+        raise ValueError(f"{what} must be {want}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
 SYMMETRY_RTOL = 1e-8  # asymmetry beyond this is a caller error, not roundoff
 
 
@@ -102,8 +113,8 @@ def spectral_decompose(s) -> SpectralDecomposition:
 class SpectralFunction:
     """A scalar function meant to act on a symmetric matrix through its spectrum.
 
-    Kinds: ``identity``, ``power`` (rational exponent), ``log``, ``exp``,
-    ``scaled-exp`` (x -> e^(scale*x)), ``polynomial`` (coefficients in
+    Kinds: ``identity``, ``power`` (rational exponent), ``log``, ``exp``
+    (x -> e^(scale*x); scale 1 from ``exp()``), ``polynomial`` (coefficients in
     ascending degree, evaluated by Horner).  Instances are immutable and
     callable on floats or arrays.
     """
@@ -114,13 +125,13 @@ class SpectralFunction:
     coeffs: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        kinds = ("identity", "power", "log", "exp", "scaled-exp", "polynomial")
+        kinds = ("identity", "power", "log", "exp", "polynomial")
         if self.kind not in kinds:
             raise ValueError(f"unknown function kind {self.kind!r}")
         if self.kind == "power" and not isinstance(self.exponent, Fraction):
             raise ValueError("power needs a Fraction exponent")
-        if self.kind == "scaled-exp" and self.scale is None:
-            raise ValueError("scaled-exp needs a scale")
+        if self.kind == "exp" and self.scale is None:
+            raise ValueError("exp needs a scale")
         if self.kind == "polynomial":
             if not self.coeffs:
                 raise ValueError("polynomial needs at least one coefficient")
@@ -146,11 +157,11 @@ class SpectralFunction:
 
     @classmethod
     def exp(cls) -> "SpectralFunction":
-        return cls("exp")
+        return cls("exp", scale=1.0)
 
     @classmethod
     def scaled_exp(cls, t: float) -> "SpectralFunction":
-        return cls("scaled-exp", scale=float(t))
+        return cls("exp", scale=float(t))
 
     @classmethod
     def polynomial(cls, coeffs: Sequence[float]) -> "SpectralFunction":
@@ -182,8 +193,6 @@ class SpectralFunction:
         if self.kind == "log":
             return np.log(x)
         if self.kind == "exp":
-            return np.exp(x)
-        if self.kind == "scaled-exp":
             return np.exp(self.scale * x)
         if self.kind == "power":
             k = self.exponent

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NotIrreducible, TooLarge
-from .linalg import as_symmetric, spectral_decompose
+from .linalg import as_symmetric, as_vector, spectral_decompose
 
 MINOR_TOL = 1e-10
 FEASIBILITY_TOL = 1e-8
@@ -55,22 +55,10 @@ class VertexSet:
 
 
 def _as_spectrum(lam) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1 or len(lam) < 2:
-        raise ValueError("need a 1-d spectrum with at least two values")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("spectrum must be finite")
+    lam = as_vector(lam, "spectrum")
+    if len(lam) < 2:
+        raise ValueError("need a spectrum with at least two values")
     return lam
-
-
-def _as_point(point, lam: np.ndarray) -> np.ndarray:
-    """A finite point in the space of the spectrum, for either membership test."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != lam.shape:
-        raise ValueError("point and spectrum sizes differ")
-    if not np.all(np.isfinite(point)):
-        raise ValueError("point must be finite")
-    return point
 
 
 def _validate_spectrum(lam) -> np.ndarray:
@@ -149,17 +137,18 @@ def spectral_polytope(lam) -> VertexSet:
                      affine_dim=_affine_dim(points))
 
 
-def majorization_member(point, lam, tol: float = MAJORIZATION_TOL) -> bool:
+def majorization_member(point, lam) -> bool:
     """Hull membership by sorted prefix sums: every partial sum of the point,
     sorted descending, stays at or below the matching partial sum of the
     spectrum, with exact equality of the totals.  The spectrum may come in
     any order; both inputs are checked as in ``hull_member``."""
     lam = _as_spectrum(lam)
-    p = np.sort(_as_point(point, lam))[::-1]
+    p = np.sort(as_vector(point, "point", len(lam)))[::-1]
     l = np.sort(lam)[::-1]
-    if abs(p.sum() - l.sum()) > tol * max(1.0, float(np.abs(l).sum())):
+    if abs(p.sum() - l.sum()) > MAJORIZATION_TOL * max(1.0, float(np.abs(l).sum())):
         return False
-    return bool(np.all(np.cumsum(p) <= np.cumsum(l) + tol * max(1.0, float(np.abs(l).max()))))
+    slack = MAJORIZATION_TOL * max(1.0, float(np.abs(l).max()))
+    return bool(np.all(np.cumsum(p) <= np.cumsum(l) + slack))
 
 
 def _phase1_residual(A: np.ndarray, b: np.ndarray) -> float:
@@ -213,7 +202,7 @@ def _phase1_residual(A: np.ndarray, b: np.ndarray) -> float:
     return float(-t[m, -1])
 
 
-def hull_member(point, lam, tol: float = FEASIBILITY_TOL) -> bool:
+def hull_member(point, lam) -> bool:
     """Hull membership by linear programming: is the point D @ lam for some
     doubly stochastic D?
 
@@ -223,7 +212,7 @@ def hull_member(point, lam, tol: float = FEASIBILITY_TOL) -> bool:
     desk-scale cap of the vertex enumerations all the same.
     """
     lam = _validate_spectrum(lam)
-    point = _as_point(point, lam)
+    point = as_vector(point, "point", len(lam))
     n = len(lam)
     if n > MAX_VERTEX_N:
         raise TooLarge(f"hull test at n = {n} is past the desk scale")
@@ -234,7 +223,7 @@ def hull_member(point, lam, tol: float = FEASIBILITY_TOL) -> bool:
     A = np.vstack([np.kron(eye, lam / scale), np.kron(eye, np.ones(n)),
                    np.kron(np.ones(n), eye)])
     b = np.concatenate([point / scale, np.ones(2 * n)])
-    return _phase1_residual(A, b) < tol
+    return _phase1_residual(A, b) < FEASIBILITY_TOL
 
 
 def _affine_dim(points: np.ndarray) -> int:

@@ -21,18 +21,14 @@ import numpy as np
 from . import kernels
 from .errors import DomainViolation, SingularMatrix
 from .kernels import IRREDUCIBLE_RTOL  # the coupling threshold of is_irreducible
-from .linalg import SpectralFunction, as_symmetric, function_values, symmetrize
+from .linalg import SpectralFunction, as_symmetric, as_vector, function_values, symmetrize
 
 _EXP_SPREAD_LIMIT = 700.0  # beyond this, weight ratios underflow double precision
 
 
 def as_time_grid(times) -> np.ndarray:
     """Sample times as a float array: nonempty, 1-d, finite, strictly increasing."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ValueError("need a nonempty 1-d time grid")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("sample times must be finite")
+    times = as_vector(times, "sample times")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
     return times
@@ -159,11 +155,7 @@ def slice_point(s, w) -> np.ndarray:
     when the spectrum of ``s`` is not simple.
     """
     a = as_symmetric(s)
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.shape[0] != a.shape[0]:
-        raise ValueError(f"need {a.shape[0]} weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
+    w = as_vector(w, "weights", a.shape[0])
     if float(w.min()) <= 0.0:
         raise DomainViolation("slice weights must be strictly positive")
     lam, q = kernels.simple_eigensystem(a)

@@ -35,6 +35,7 @@ from .errors import NotJacobi, NotTridiagonal
 from .linalg import (
     SpectralFunction,
     as_symmetric,
+    as_vector,
     eigensystem,
     frobenius,
     function_values,
@@ -59,14 +60,10 @@ class TodaState:
     y: np.ndarray
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.x.ndim != 1 or self.y.ndim != 1 or len(self.x) != len(self.y):
-            raise ValueError("x and y must be 1-d with equal length")
+        self.x = as_vector(self.x, "positions x")
+        self.y = as_vector(self.y, "momenta y", len(self.x))
         if len(self.x) < 2:
             raise ValueError("need at least two particles")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise ValueError("state entries must be finite")
 
     @property
     def n(self) -> int:
@@ -326,21 +323,21 @@ def particle_flow(state0: TodaState, t_final: float, dt: float) -> ParticleTraje
     return ParticleTrajectory(times=times, states=[TodaState(x=z[0], y=z[1]) for z in zs])
 
 
-def detect_clusters(s, tol: float = DEFAULT_BOND_TOL) -> ClusterPartition:
-    """Split a tridiagonal matrix into blocks where |bond| < tol.
+def detect_clusters(s) -> ClusterPartition:
+    """Split a tridiagonal matrix into blocks where |bond| < 1e-8.
 
     Raises NotTridiagonal for input with entries outside the band.
     """
     a = as_symmetric(s)
     if not kernels.is_tridiagonal(a):
         raise NotTridiagonal("cluster detection needs a tridiagonal matrix")
-    broken = _broken_bonds(a, tol)
+    broken = _broken_bonds(a)
     edges = [0, *(k + 1 for k in broken), a.shape[0]]
     return ClusterPartition(blocks=tuple(zip(edges[:-1], edges[1:])), broken_bonds=broken)
 
 
-def _broken_bonds(a: np.ndarray, tol: float) -> tuple[int, ...]:
-    return tuple(int(k) for k in np.flatnonzero(np.abs(np.diag(a, 1)) < tol))
+def _broken_bonds(a: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(k) for k in np.flatnonzero(np.abs(np.diag(a, 1)) < DEFAULT_BOND_TOL))
 
 
 @dataclass
@@ -397,7 +394,7 @@ def _match_order(diagonal: np.ndarray, spectrum: np.ndarray) -> tuple[int, ...]:
     return tuple(order)
 
 
-def convergence_diagnostics(traj: Trajectory, bond_tol: float = DEFAULT_BOND_TOL) -> ConvergenceReport:
+def convergence_diagnostics(traj: Trajectory) -> ConvergenceReport:
     """Off-diagonal decay, diagonal ordering and broken bonds along a trajectory."""
     scale = frobenius(traj.states[0])
     offs = np.array([offdiag_norm(state) for state in traj.states])
@@ -409,7 +406,7 @@ def convergence_diagnostics(traj: Trajectory, bond_tol: float = DEFAULT_BOND_TOL
     converged_at = int(below[0]) if below.size else None
     spectrum, _ = eigensystem(traj.states[0])
     final = as_symmetric(traj.final)
-    broken = _broken_bonds(final, bond_tol) if kernels.is_tridiagonal(final) else ()
+    broken = _broken_bonds(final) if kernels.is_tridiagonal(final) else ()
     return ConvergenceReport(
         times=traj.times.copy(),
         offdiag_norms=offs,

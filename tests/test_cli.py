@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -250,6 +251,34 @@ def test_non_finite_coefficients_are_bad_usage(tmp_path, jacobi_file, capsys):
     assert run("step", "--in", jacobi_file, "--f", "poly:1,inf", "--out", out) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spectrum", ["nan,1", "inf,1"])
+def test_non_finite_spectrum_is_bad_usage(tmp_path, capsys, spectrum):
+    # these exited 1 with an InvalidInput error from the chart
+    out = tmp_path / "out.json"
+    assert run("random", "--kind", "jacobi", "--n", "2", "--spectrum", spectrum,
+               "--out", out) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "jacobi", "spectrum"])
+def test_random_dimension_below_two_is_bad_usage(tmp_path, capsys, kind):
+    # n = 1 used to write a 1 x 1 matrix that moser, step and bfr then refused
+    out = tmp_path / "out.json"
+    for n in ("1", "0"):
+        assert run("random", "--kind", kind, "--n", n, "--out", out) == 2
+    assert "at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parse_function_power_exponents():
+    for text, exponent in [("2", 2), ("-3", -3), ("0", 0), ("1/3", Fraction(1, 3)),
+                           ("4/2", 2)]:
+        f = parse_function(f"pow:{text}")
+        assert f == SpectralFunction.power(exponent)
+        assert type(f.exponent) is Fraction
 
 
 def test_bad_usage_exits_two(capsys):

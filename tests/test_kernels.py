@@ -11,7 +11,7 @@ from pathlib import Path
 import matslice
 
 KERNELS = Path(matslice.__file__).parent / "kernels.py"
-VALIDATORS = {"as_square", "as_symmetric"}
+VALIDATORS = {"as_square", "as_symmetric", "as_vector"}
 
 
 def tree():

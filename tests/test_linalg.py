@@ -106,6 +106,19 @@ def test_as_square_rejections():
         qr_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_as_vector_copies_and_names_what_it_refuses():
+    v = np.array([1, 2])
+    got = linalg.as_vector(v, "weights", 2)
+    assert got.dtype == float and not np.shares_memory(got, v)
+    npt.assert_array_equal(got, [1.0, 2.0])
+    with pytest.raises(ValueError, match="weights must be a 1-d array of length 3, got shape"):
+        linalg.as_vector(v, "weights", 3)
+    with pytest.raises(ValueError, match="sample times must be a nonempty 1-d array"):
+        linalg.as_vector([], "sample times")
+    with pytest.raises(ValueError, match="spectrum must be finite"):
+        linalg.as_vector([1.0, np.inf], "spectrum")
+
+
 # -------------------------------------------------------------- eigensystem
 
 def test_eigensystem_diagonal_is_sorted_descending():

@@ -419,7 +419,7 @@ def test_detect_clusters():
     j = np.diag([4.0, 3.0, 2.0, 1.0]) + 0.0
     for k, v in ((0, 0.5), (1, 1e-12), (2, 0.3)):
         j[k, k + 1] = j[k + 1, k] = v
-    part = detect_clusters(j, tol=1e-8)
+    part = detect_clusters(j)
     assert part.blocks == ((0, 2), (2, 4))
     assert part.broken_bonds == (1,)
     with pytest.raises(NotTridiagonal):
