@@ -8,10 +8,12 @@ thresholds.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .jacobi import moser_reconstruct
-from .linalg import eigensystem, qr_factor, symmetrize
+from .linalg import as_vector, eigensystem, qr_factor, symmetrize
 
 _GAP_FLOOR = 1e-3
 
@@ -39,6 +41,8 @@ def descending_spectrum(
     min_gap: float = 0.25,
 ) -> np.ndarray:
     """Strictly descending values in [lo, hi] with every gap >= min_gap."""
+    if not all(map(math.isfinite, (lo, hi, min_gap))):
+        raise ValueError("lo, hi and min_gap must be finite")
     if n * min_gap >= hi - lo:
         raise ValueError("interval too small for the requested gaps")
     for _ in range(1000):
@@ -50,7 +54,9 @@ def descending_spectrum(
 
 def random_with_spectrum(lam, rng: np.random.Generator) -> np.ndarray:
     """Symmetric matrix with the prescribed spectrum, random eigenbasis."""
-    lam = np.asarray(lam, dtype=float)
+    lam = as_vector(lam, "spectrum")
+    if len(lam) < 2:
+        raise ValueError("spectrum must have at least two values")
     q = random_orthogonal(len(lam), rng)
     return symmetrize((q.T * lam) @ q)
 

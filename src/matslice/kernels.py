@@ -3,10 +3,10 @@
 Nothing here validates.  A kernel expects what its public caller checked
 once: a finite square float array, n >= 2, exactly symmetric where it reads
 a symmetric matrix.  The eigensolver is deliberately *not* QR-based, since QR
-iteration is one of the objects under study.  QR and the eigensolver divide
-their input by a power of two of its largest entry (exact) and scale the
-result back, and the norms do the same at extreme scales, so results do not
-depend on the input's scale.  Imports nothing of matslice but ``errors``.
+iteration is one of the objects under study; QR itself is LAPACK's.  Both
+divide their input by a power of two of its largest entry (exact) and scale
+the result back, and the norms do the same at extreme scales, so results do
+not depend on the input's scale.  Imports nothing of matslice but ``errors``.
 """
 
 from __future__ import annotations
@@ -59,29 +59,13 @@ def symmetrize(m) -> np.ndarray:
 def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``a = q @ r`` with q orthogonal and r upper triangular, diag(r) >= 0.
 
-    Householder reflections, then a diagonal sign fix (a positive diagonal
-    makes the factorization unique).  They run on a / 2^e, 2^e just above
-    max|a|, so no column norm overflows; the norms of a column and of its
-    reflector v are taken without squaring entries, because x.x of a faint
-    column (entries near 1e-246) underflows to 0.
+    LAPACK's Householder QR (``dgeqrf`` via ``np.linalg.qr``), then a diagonal
+    sign fix (a positive diagonal makes the factorization unique), on a / 2^e,
+    2^e just above max|a|: no column norm overflows, and LAPACK's scale-safe
+    reflector norms keep faint columns (entries near 1e-246) from underflowing.
     """
-    n = a.shape[0]
     e = _binade(a)
-    r = np.ldexp(a, -e)
-    q = np.eye(n)
-    for k in range(n - 1):
-        x = r[k:, k]
-        nx = math.hypot(*x)
-        if nx == 0.0:
-            continue  # column already annihilated; r[k, k] stays 0
-        alpha = -nx if x[0] >= 0.0 else nx
-        v = x.copy()
-        v[0] -= alpha
-        v /= math.sqrt(2.0 * nx) * math.sqrt(nx + abs(x[0]))  # |v|, as roots of 2 nx (nx + |x0|)
-        r[k:, k:] -= np.outer(2.0 * v, v @ r[k:, k:])
-        r[k, k] = alpha
-        r[k + 1:, k] = 0.0
-        q[:, k:] -= np.outer(q[:, k:] @ v, 2.0 * v)
+    q, r = np.linalg.qr(np.ldexp(a, -e))
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return q * signs, np.ldexp(signs[:, None] * r, e)
 

@@ -85,8 +85,6 @@ class FlowConfig:
         self.t_final = float(self.t_final)
         self.dt = float(self.dt)
         _check_span(self.t_final, self.dt)
-        if self.t_final > 0.0 and self.dt > self.t_final:
-            raise ValueError("dt must not exceed t_final")
 
 
 @dataclass

@@ -6,9 +6,14 @@ kernels may import nothing of matslice but ``errors``, and never validate.
 """
 
 import ast
+import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import matslice
+from matslice import kernels
 
 KERNELS = Path(matslice.__file__).parent / "kernels.py"
 VALIDATORS = {"as_square", "as_symmetric", "as_vector"}
@@ -40,3 +45,34 @@ def test_kernels_call_no_validator():
             if name in VALIDATORS:
                 called.add(f"line {node.lineno}: {name}")
     assert not called, sorted(called)
+
+
+def assert_qr_contract(a, q, r):
+    n = a.shape[0]
+    assert np.all(np.isfinite(q)) and np.all(np.isfinite(r))
+    assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-13
+    assert np.array_equal(r, np.triu(r)) and np.all(np.diag(r) >= 0.0)
+    assert np.abs(q @ r - a).max() <= 1e-14 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("n", [8, 48])
+@pytest.mark.parametrize("seed", range(5))
+def test_householder_qr_resolves_faint_rows(n, seed):
+    # rows weighted down to e^-699, as in the weighted conjugation: the
+    # faint rows' squares underflow, so only scale-safe reflector norms
+    # keep q orthogonal
+    rng = np.random.default_rng(seed)
+    q0, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    w = np.exp(-rng.uniform(0.0, 699.0, size=n))
+    w[:2] = 1.0, math.exp(-699.0)
+    a = w[:, None] * q0
+    assert_qr_contract(a, *kernels.householder_qr(a))
+
+
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_householder_qr_of_a_zero_column(k):
+    a = np.random.default_rng(k).normal(size=(6, 6))
+    a[:, k] = 0.0
+    q, r = kernels.householder_qr(a)
+    assert_qr_contract(a, q, r)
+    assert r[k, k] == 0.0

@@ -352,8 +352,9 @@ def test_flow_config_validation():
         FlowConfig(g=IDENTITY, t_final=1.0, dt=0.0)
     with pytest.raises(ValueError):
         FlowConfig(g=IDENTITY, t_final=-1.0, dt=0.1)
-    with pytest.raises(ValueError):
-        FlowConfig(g=IDENTITY, t_final=0.5, dt=0.7)
+    # dt beyond t_final is one step that ends on t_final, as in time_grid
+    traj = flow_integrated(np.diag([2.0, 1.0]), FlowConfig(g=IDENTITY, t_final=0.5, dt=0.7))
+    npt.assert_array_equal(traj.times, [0.0, 0.5])
     cfg = FlowConfig(g=IDENTITY, t_final=0.0, dt=0.5)  # t=0 is fine, no steps
     assert len(flow_integrated(np.diag([2.0, 1.0]), cfg)) == 1
 

@@ -17,6 +17,7 @@ from matslice import (
     hull_member,
     majorization_member,
     moser_reconstruct,
+    random_with_spectrum,
     slice_point,
     spectral_polytope,
 )
@@ -44,6 +45,7 @@ CALLS = {
     "majorization_member spectrum": (lambda v: majorization_member(POINT, v), LAM),
     "hull_member point": (lambda v: hull_member(v, LAM), POINT),
     "hull_member spectrum": (lambda v: hull_member(POINT, v), LAM),
+    "random_with_spectrum": (lambda v: random_with_spectrum(v, np.random.default_rng(0)), LAM),
 }
 
 
@@ -66,7 +68,8 @@ def test_vector_refuses_non_finite_entry(name, at, bad):
 
 # the vectors whose length is set by another argument
 PAIRED = [name for name in CALLS
-          if name not in ("spectral_polytope", "flow_factorized_trajectory times")]
+          if name not in ("spectral_polytope", "flow_factorized_trajectory times",
+                          "random_with_spectrum")]
 
 
 @pytest.mark.parametrize("name", CALLS)
