@@ -175,10 +175,19 @@ def simple_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, q
 
 
+@functools.cache
+def strict_lower(n: int) -> np.ndarray:
+    """Read-only boolean mask of the entries below the diagonal, built on first use."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False  # shared by every caller through the cache
+    return mask
+
+
 def skew_part(a: np.ndarray) -> np.ndarray:
     """Skew part of the unique skew + upper-triangular splitting: below the
-    diagonal a, above its negated mirror, zero diagonal; exact."""
-    lower = np.tril(a, -1)
+    diagonal a, above its negated mirror, zero diagonal; exact.  The cached
+    ``strict_lower`` mask selects bitwise ``np.tril(a, -1)``."""
+    lower = np.where(strict_lower(a.shape[0]), a, 0.0)
     return lower - lower.T
 
 

@@ -98,6 +98,8 @@ class ParticleTrajectory:
         self.times = as_time_grid(self.times)
         if len(self.times) != len(self.states):
             raise ValueError("times and states must align one to one")
+        if any(state.n != self.states[0].n for state in self.states):
+            raise ValueError("all states must share one particle count")
 
     def __len__(self) -> int:
         return len(self.states)
@@ -158,17 +160,17 @@ def inverse_flaschka(j) -> TodaState:
 
 def particle_field(state: TodaState) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of Hamilton's equations for the particle system."""
-    dx, dy = _hamilton_field(np.vstack([state.x, state.y]))
-    return dx, dy
+    return tuple(_hamilton_field(np.vstack([state.x, state.y])))
 
 
 def _hamilton_field(z: np.ndarray) -> np.ndarray:
-    # z stacks positions over momenta
-    forces = np.exp(z[0, :-1] - z[0, 1:])
-    dy = np.zeros_like(z[1])
-    dy[:-1] -= forces
-    dy[1:] += forces
-    return np.vstack([z[1], dy])
+    # rows x over y; force f[k-1] - f[k], bond terms f zero-padded at both ends
+    f = np.zeros(z.shape[1] + 1)
+    np.exp(z[0, :-1] - z[0, 1:], out=f[1:-1])
+    dz = np.empty_like(z)
+    dz[0] = z[1]
+    np.subtract(f[:-1], f[1:], out=dz[1])
+    return dz
 
 
 def toda_field(s, g: SpectralFunction) -> np.ndarray:
@@ -179,15 +181,17 @@ def toda_field(s, g: SpectralFunction) -> np.ndarray:
 def _field(g: SpectralFunction):
     """The Lax field of g on validated, exactly symmetric arrays.
 
-    A polynomial g (``polynomial``, or ``power`` with a nonnegative integer
-    exponent) is evaluated on the matrix by Horner, with no eigensolve.  For
-    every other g each eigensolve starts from the eigenbasis of the call
-    before: successive RK4 stages differ by O(dt), so the eigenvectors of one
-    nearly diagonalize the next and Jacobi converges in fewer sweeps.
+    [a, b] = c + c.T for b = skew_part(g(a)) and c = a @ b, as (a b).T = -b a
+    for symmetric a and skew b: one product, exactly symmetric.  A polynomial
+    g (``polynomial``, or ``power`` with a nonnegative integer exponent) is
+    evaluated by Horner, with no eigensolve.  For every other g each
+    eigensolve starts from the eigenbasis of the call before: successive RK4
+    stages differ by O(dt), so the eigenvectors of one nearly diagonalize the
+    next and Jacobi converges in fewer sweeps.
     """
     def lax(a: np.ndarray, ga: np.ndarray) -> np.ndarray:
-        skew = kernels.skew_part(ga)
-        return symmetrize(a @ skew - skew @ a)
+        c = a @ kernels.skew_part(ga)
+        return c + c.T
 
     if g.kind == "identity":
         return lambda a: lax(a, a)
@@ -295,7 +299,7 @@ def _rk4(field, z: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
         k3 = field(z + 0.5 * h * k2)
         k4 = field(z + h * k3)
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise ValueError("integrated state is no longer finite; reduce dt")
         states.append(z)
     return states
@@ -304,7 +308,7 @@ def _rk4(field, z: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
 def flow_integrated(s0, config: FlowConfig) -> Trajectory:
     """Classical RK4 on the Lax field, recording every step.
 
-    The field is exactly symmetric, so every state stays exactly symmetric.
+    The field is exactly symmetric (c + c.T), so every state stays exactly symmetric.
     A polynomial g is evaluated by Horner, with no eigensolve; for log, exp
     and the other powers each stage's eigensolve is warm-started from the
     eigenbasis of the stage before.

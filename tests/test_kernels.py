@@ -76,3 +76,26 @@ def test_householder_qr_of_a_zero_column(k):
     q, r = kernels.householder_qr(a)
     assert_qr_contract(a, q, r)
     assert r[k, k] == 0.0
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("kind", ["symmetric", "general"])
+def test_skew_part_is_the_strict_lower_triangle_mirrored(kind, n):
+    a = np.random.default_rng(n).normal(size=(n, n))
+    if kind == "symmetric":
+        a = 0.5 * (a + a.T)
+    a[-1, 0] = a[0, -1] = -0.0  # signed zeros come out as from np.tril
+    lower = np.tril(a, -1)
+    want = lower - lower.T
+    got = kernels.skew_part(a)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_skew_part_mask_is_shared_read_only_and_never_returned():
+    mask = kernels.strict_lower(5)
+    assert mask is kernels.strict_lower(5)
+    with pytest.raises(ValueError):
+        mask[1, 0] = False
+    got = kernels.skew_part(np.ones((5, 5)))
+    assert got.flags.writeable
+    assert not np.shares_memory(got, mask)

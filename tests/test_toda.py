@@ -10,6 +10,7 @@ from matslice import (
     FlowConfig,
     NotJacobi,
     NotTridiagonal,
+    ParticleTrajectory,
     SingularMatrix,
     SpectralFunction,
     TodaState,
@@ -100,6 +101,14 @@ def test_toda_state_validation_and_gauge():
     npt.assert_array_equal(st.x, [1.0, -1.0])
 
 
+def test_particle_trajectory_refuses_mixed_particle_counts():
+    # a ragged trajectory would be written as a CSV its own reader refuses
+    two = TodaState(x=np.zeros(2), y=np.zeros(2))
+    three = TodaState(x=np.zeros(3), y=np.zeros(3))
+    with pytest.raises(ValueError, match="one particle count"):
+        ParticleTrajectory(times=[0.0, 1.0], states=[two, three])
+
+
 # -------------------------------------------------------------- the Lax field
 
 def test_toda_field_frozen_2x2():
@@ -137,6 +146,37 @@ def test_toda_field_keeps_the_band():
     j = random_jacobi(6, rng)
     field = toda_field(j, IDENTITY)
     assert maxabs(np.triu(field, 2)) == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("kind", ["dense", "jacobi"])
+def test_identity_field_matches_the_commutator(kind, n):
+    # commutator takes both products; the field takes one and its transpose
+    rng = np.random.default_rng(613 + n)
+    s = random_symmetric(n, rng) if kind == "dense" else random_jacobi(n, rng)
+    want = commutator(s, skew_part(s))
+    assert maxabs(toda_field(s, IDENTITY) - want) <= 1e-14 * frobenius(s) ** 2
+
+
+# the three ways the field evaluates g: as is, by Horner, in the eigenbasis
+FIELD_ROUTES = [IDENTITY, SpectralFunction.power(2), SpectralFunction.log()]
+ROUTE_IDS = ["identity", "pow:2", "log"]
+
+
+@pytest.mark.parametrize("g", FIELD_ROUTES, ids=ROUTE_IDS)
+def test_toda_field_is_exactly_symmetric(g):
+    rng = np.random.default_rng(643)
+    for n in (3, 6, 11):
+        s = random_with_spectrum(np.sort(rng.uniform(0.5, 4.0, n))[::-1], rng)
+        field = toda_field(s, g)
+        assert np.array_equal(field, field.T)
+
+
+@pytest.mark.parametrize("g", FIELD_ROUTES, ids=ROUTE_IDS)
+def test_integrated_flow_states_are_exactly_symmetric(g):
+    s = random_with_spectrum([3.5, 2.0, 1.1, 0.6, 0.3], np.random.default_rng(647))
+    traj = flow_integrated(s, FlowConfig(g=g, t_final=0.2, dt=0.01))
+    assert all(np.array_equal(state, state.T) for state in traj.states)
 
 
 # Polynomial g: the field evaluates g(s) by Horner on the matrix, while
