@@ -3,7 +3,8 @@
 Nothing here validates.  A kernel expects what its public caller checked
 once: a finite square float array, n >= 2, exactly symmetric where it reads
 a symmetric matrix.  The eigensolver is deliberately *not* QR-based, since QR
-iteration is one of the objects under study; QR itself is LAPACK's.  Both
+iteration is one of the objects under study: Jacobi rotation sweeps, finished
+by Cayley steps once the iterate is diagonally dominant.  QR is LAPACK's.  Both
 divide their input by a power of two of its largest entry (exact) and scale
 the result back, and the norms do the same at extreme scales, so results do
 not depend on the input's scale.  Imports nothing of matslice but ``errors``.
@@ -24,7 +25,8 @@ JACOBI_SWEEP_RTOL = 1e-13    # off-diagonal Frobenius target of the eigensolver
 SIMPLE_SPECTRUM_RTOL = 1e-9  # minimum eigenvalue gap counted as "simple"
 TRIDIAG_RTOL = 1e-12         # band check tolerance, relative to ||s||
 IRREDUCIBLE_RTOL = 1e-12     # off-diagonal coupling threshold for the adjacency graph
-_MAX_SWEEPS = 50
+CAYLEY_GATE = 0.25           # off-diagonal norm / smallest diagonal gap that admits a Cayley step
+_MAX_SWEEPS = 50             # passes (sweeps or Cayley steps) before giving up
 _SIGN_PICK_TOL = 1e-12       # "first nonzero" cutoff for the eigenvector sign fix
 
 
@@ -91,8 +93,9 @@ def round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     Each round pairs the indices into disjoint (p, t), p < t; the n - 1
     rounds of a sweep (n rounds for odd n, whose dummy index sits out one
     index per round) meet every pair exactly once.  Per round: p, t, then the
-    (row, column) positions of the diagonal and off-diagonal entries that a
-    round reads, then those it writes into the rotation matrix.
+    flat positions (row * n + column) of the diagonal and off-diagonal
+    entries that a round reads, then of those it writes into the rotation
+    matrix.
     """
     players = list(range(n + n % 2))  # index n is the dummy for odd n
     rounds = []
@@ -101,8 +104,8 @@ def round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
         pairs = sorted((min(i, j), max(i, j)) for i, j in
                        zip(players[:half], players[::-1][:half]) if max(i, j) < n)
         p, t = (np.array(side) for side in zip(*pairs))
-        arrays = (p, t, np.concatenate((p, t, p)), np.concatenate((p, t, t)),
-                  np.concatenate((p, t, p, t)), np.concatenate((p, t, t, p)))
+        arrays = (p, t, np.concatenate((p, t, p)) * n + np.concatenate((p, t, t)),
+                  np.concatenate((p, t, p, t)) * n + np.concatenate((p, t, t, p)))
         for x in arrays:
             x.flags.writeable = False  # shared by every caller through the cache
         rounds.append(arrays)
@@ -110,19 +113,53 @@ def round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(rounds)
 
 
+@functools.cache
+def off_diagonal(n: int) -> np.ndarray:
+    """Read-only flat positions (row * n + column) of the entries above the
+    diagonal, then of their mirrors below it, built on first use."""
+    i, j = np.triu_indices(n, 1)
+    flat = np.concatenate((i * n + j, j * n + i))
+    flat.flags.writeable = False  # shared by every caller through the cache
+    return flat
+
+
+def _sweep(a: np.ndarray, v: np.ndarray, eye: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """One round-robin sweep: each round's disjoint rotations as one
+    orthogonal r, each angle the inner one (|phi| <= pi/4) that zeroes its
+    pair; a <- r.T a r, v <- v r."""
+    for p, _, read, write in round_robin(len(a)):
+        k = len(p)
+        entries = a.take(read)
+        app, att, apt = entries[:k], entries[k:2 * k], entries[2 * k:]
+        d = att - app
+        phi = 0.5 * np.arctan2(apt * np.copysign(2.0, d), np.abs(d))
+        c, sn = np.cos(phi), np.sin(phi)
+        r = eye.copy()
+        r.put(write, np.concatenate((c, c, sn, -sn)))
+        a = r.T @ a @ r
+        v = v @ r
+    return a, v
+
+
 def jacobi_eigensystem(a: np.ndarray, start: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric eigensystem ``(lam, q)`` by round-robin Jacobi rotations,
-    laid out as ``linalg.eigensystem`` documents.
+    finished by Cayley steps, laid out as ``linalg.eigensystem`` documents.
 
-    Sweeps run on a / 2^e until the off-diagonal norm drops below
-    ``1e-13 * ||a||``.  Each round applies its disjoint rotations as one
-    orthogonal matrix r, each angle the inner one (|phi| <= pi/4) that zeroes
-    its pair: a <- r.T a r, v <- v r.  ``start``, an orthogonal matrix whose
-    rows nearly diagonalize ``a`` (the q of a nearby matrix), warm-starts the
-    sweeps from ``start @ a @ start.T``: the same eigensystem to roundoff, in
-    fewer sweeps.  One Newton-Schulz step first squares the start's distance
-    from orthogonal, so a chain of starts, each the last result, cannot drift.
+    Works on a / 2^e until the off-diagonal norm drops below
+    ``1e-13 * ||a||``, at most 50 passes.  A pass is one rotation sweep,
+    unless the off-diagonal norm is at most 1/4 of the smallest gap between
+    diagonal entries: then it is one Cayley step a <- w a w.T, v <- v w.T,
+    w = (I - k/2)^-1 (I + k/2) by LU, with the exactly antisymmetric
+    k_ij = a_ij / (a_ii - a_jj) = -k_ji (i < j) built from the upper
+    triangle.  ||k|| <= 1/4 then, and the step leaves an off-diagonal of
+    order ||off||^2 / gap (quadratic convergence, as in eigenvector
+    refinement from an approximate basis).  ``start``, an orthogonal matrix whose rows nearly diagonalize
+    ``a`` (the q of a nearby matrix), warm-starts from ``start @ a @ start.T``:
+    the same eigensystem to roundoff, mostly by Cayley steps alone.  One
+    Newton-Schulz step first squares the start's distance from orthogonal, so
+    a chain of starts, each the last result, cannot drift.
     """
     n = a.shape[0]
     e = _binade(a)
@@ -134,24 +171,26 @@ def jacobi_eigensystem(a: np.ndarray, start: np.ndarray | None = None
         u = start - 0.5 * (start @ start.T - eye) @ start
         a = symmetrize(u @ a @ u.T)
         v = u.T.copy()
+    off = off_diagonal(n)
+    upper = off[:len(off) // 2]
     # max|a| < 1 now, so plain norms are safe
-    tol = JACOBI_SWEEP_RTOL * np.linalg.norm(a)
-    sweeps = 0
-    while np.linalg.norm(a - np.diag(np.diag(a))) > tol:
-        if sweeps >= _MAX_SWEEPS:
+    tol2 = (JACOBI_SWEEP_RTOL * np.linalg.norm(a)) ** 2
+    passes = 0
+    while (off2 := (x := a.take(off)) @ x) > tol2:
+        if passes >= _MAX_SWEEPS:
             raise ArithmeticError("Jacobi eigensolver failed to converge")
-        for p, t, read_rows, read_cols, rows, cols in round_robin(n):
-            k = len(p)
-            entries = a[read_rows, read_cols]
-            app, att, apt = entries[:k], entries[k:2 * k], entries[2 * k:]
-            d = att - app
-            phi = 0.5 * np.arctan2(apt * np.copysign(2.0, d), np.abs(d))
-            c, sn = np.cos(phi), np.sin(phi)
-            r = eye.copy()
-            r[rows, cols] = np.concatenate((c, c, sn, -sn))
-            a = r.T @ a @ r
-            v = v @ r
-        sweeps += 1
+        d = np.diag(a)
+        # off2 > 0 here, so the gate also refuses a zero gap
+        if off2 <= (CAYLEY_GATE * np.diff(np.sort(d)).min()) ** 2:
+            half = 0.5 * x[:len(upper)] / np.subtract.outer(d, d).take(upper)
+            h = np.zeros((n, n))
+            h.put(off, np.concatenate((half, -half)))
+            w = np.linalg.solve(eye - h, eye + h)
+            a = w @ a @ w.T
+            v = v @ w.T
+        else:
+            a, v = _sweep(a, v, eye)
+        passes += 1
     lam = np.ldexp(np.diag(a), e)
     order = np.argsort(-lam, kind="stable")
     q = v[:, order].T

@@ -1,11 +1,11 @@
 """Validated entry points to the dense symmetric-matrix kernels.
 
 Householder QR normalized to a positive diagonal of R (``qr_factor``), a
-round-robin Jacobi eigensolver (``eigensystem``, ``spectral_decompose``),
-scalar functions of a symmetric matrix through its spectrum
-(``apply_function``) and the unique skew + upper-triangular splitting.  Each
-checks its matrices once and hands them to ``matslice.kernels``, which holds
-the algorithms and validates nothing.
+round-robin Jacobi eigensolver finished by Cayley steps (``eigensystem``,
+``spectral_decompose``), scalar functions of a symmetric matrix through its
+spectrum (``apply_function``) and the unique skew + upper-triangular
+splitting.  Each checks its matrices once and hands them to
+``matslice.kernels``, which holds the algorithms and validates nothing.
 """
 
 from __future__ import annotations

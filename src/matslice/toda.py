@@ -187,7 +187,7 @@ def _field(g: SpectralFunction):
     evaluated by Horner, with no eigensolve.  For every other g each
     eigensolve starts from the eigenbasis of the call before: successive RK4
     stages differ by O(dt), so the eigenvectors of one nearly diagonalize the
-    next and Jacobi converges in fewer sweeps.
+    next and the eigensolver finishes by Cayley steps, with no rotation sweep.
     """
     def lax(a: np.ndarray, ga: np.ndarray) -> np.ndarray:
         c = a @ kernels.skew_part(ga)

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from matslice import cli
 from matslice.cli import main, parse_function
 from matslice.fileio import (
     read_matrix,
@@ -193,6 +194,33 @@ def test_stdout_output(capsys):
                "--out", "-") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["n"] == 3
+
+
+def test_main_reuses_one_parser_and_carries_nothing_between_calls(jacobi_file, capsys):
+    sessions = [("step", "--in", jacobi_file, "--f", "pow:2", "--out", "-"),
+                ("step", "--in", jacobi_file, "--out", "-"),  # default --f
+                ("random", "--n", "3", "--seed", "5"),
+                ("random", "--n", "3")]                       # default --seed
+
+    def output(argv):
+        assert run(*argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    parser = cli._parser()
+    reused = [output(argv) for argv in sessions]
+    assert cli._parser() is parser
+    fresh = []
+    for argv in sessions:
+        cli._parser.cache_clear()  # a parser of its own for each call
+        fresh.append(output(argv))
+    assert reused[:3] == fresh[:3]
+    unseeded = [{k: doc[k] for k in ("n", "kind", "seed")} for doc in (reused[3], fresh[3])]
+    assert unseeded[0] == unseeded[1] == {"n": 3, "kind": "symmetric", "seed": None}
+    assert reused[0] != reused[1]  # pow:2 did not stick as the default
+    assert run("step", "--in", jacobi_file, "--f", "sinh", "--out", "-") == 2
+    capsys.readouterr()
+    assert run(*sessions[2]) == 0
+    assert json.loads(capsys.readouterr().out) == reused[2]
 
 
 # -------------------------------------------------------------- error paths

@@ -13,7 +13,16 @@ import numpy as np
 import pytest
 
 import matslice
-from matslice import kernels
+from matslice import (
+    FlowConfig,
+    SpectralFunction,
+    default_rng,
+    descending_spectrum,
+    flow_integrated,
+    kernels,
+    random_jacobi,
+    random_symmetric,
+)
 
 KERNELS = Path(matslice.__file__).parent / "kernels.py"
 VALIDATORS = {"as_square", "as_symmetric", "as_vector"}
@@ -99,3 +108,49 @@ def test_skew_part_mask_is_shared_read_only_and_never_returned():
     got = kernels.skew_part(np.ones((5, 5)))
     assert got.flags.writeable
     assert not np.shares_memory(got, mask)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """[warm, rotation sweeps] of each eigensolve, in call order."""
+    solves = []
+    solve, sweep = kernels.jacobi_eigensystem, kernels._sweep
+
+    def counting_solve(a, start=None):
+        solves.append([start is not None, 0])
+        return solve(a, start)
+
+    def counting_sweep(*args):
+        solves[-1][1] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(kernels, "jacobi_eigensystem", counting_solve)
+    monkeypatch.setattr(kernels, "_sweep", counting_sweep)
+    return solves
+
+
+def test_warm_flow_solves_finish_by_cayley_steps_alone(sweeps):
+    # a log-driven flow as the flow-spectral benchmark draws it: n = 5,
+    # spectrum in [0.5, 3] with gaps >= 0.25, dt = 0.008; rotations alone
+    # took 1-2 sweeps per warm solve
+    rng = default_rng(1)
+    lam = descending_spectrum(5, rng, lo=0.5, hi=3.0, min_gap=0.25)
+    traj = flow_integrated(random_jacobi(5, rng, spectrum=lam),
+                           FlowConfig(SpectralFunction.log(), 0.16, 0.008))
+    assert [warm for warm, _ in sweeps] == [False] + [True] * (4 * (len(traj) - 1) - 1)
+    assert [count for warm, count in sweeps if warm] == [0] * (len(sweeps) - 1)
+
+
+def test_cold_solve_hands_over_to_cayley_steps(sweeps):
+    # rotations alone take 5 sweeps on this matrix
+    kernels.jacobi_eigensystem(random_symmetric(8, default_rng(8)))
+    assert sweeps[0][1] < 5
+
+
+def test_pass_cap_bounds_cayley_steps(sweeps, monkeypatch):
+    a = random_symmetric(6, default_rng(3))
+    _, start = kernels.jacobi_eigensystem(a + 1e-4 * random_symmetric(6, default_rng(4)))
+    monkeypatch.setattr(kernels, "_MAX_SWEEPS", 1)
+    with pytest.raises(ArithmeticError):
+        kernels.jacobi_eigensystem(a, start)
+    assert sweeps[-1] == [True, 0]  # its one pass was a Cayley step, not enough

@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -169,10 +170,33 @@ def test_round_robin_rounds_are_disjoint_and_sweeps_cover_every_pair():
         assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)], n
 
 
-@pytest.mark.parametrize("n", [2, 5, 8])
-def test_warm_start_gives_the_cold_eigensystem(n):
-    rng = np.random.default_rng(41 + n)
-    s = symmetrize(rng.normal(size=(n, n)))
+NEAR_DEGENERATE = ["close-pair", "coupled-double", "paired-4", "paired-8",
+                   "paired-16", "paired-32"]
+
+
+def near_degenerate(case: str) -> np.ndarray:
+    """Symmetric matrices with eigenvalues or diagonal entries that nearly
+    coincide: far inside any gate on diagonal gaps."""
+    if case == "close-pair":
+        return np.array([[1.0, 1e-9, 1e-3], [1e-9, 1.0 + 1e-12, 0.0], [1e-3, 0.0, 2.0]])
+    if case == "coupled-double":
+        return np.array([[1.0, 0.0, 1e-3], [0.0, 1.0, 0.0], [1e-3, 0.0, 2.0]])
+    n = int(case.split("-")[1])
+    lam = np.repeat(np.linspace(1.0, 2.0, n // 2), 2)
+    lam[1::2] += 1e-11 * np.linalg.norm(lam)  # pairs 1e-11 * ||a|| apart
+    q = random_orthogonal(n, np.random.default_rng(n))
+    return symmetrize((q.T * lam) @ q)
+
+
+@pytest.mark.parametrize("case", [2, 5, 8, *NEAR_DEGENERATE])
+def test_warm_start_gives_the_cold_eigensystem(case):
+    if isinstance(case, int):
+        rng = np.random.default_rng(41 + case)
+        s = symmetrize(rng.normal(size=(case, case)))
+    else:
+        rng = np.random.default_rng(41)
+        s = near_degenerate(case)
+    n = len(s)
     scale = frobenius(s)
     lam, q = eigensystem(s)
     _, unrelated = eigensystem(symmetrize(rng.normal(size=(n, n))))
@@ -181,6 +205,24 @@ def test_warm_start_gives_the_cold_eigensystem(n):
         npt.assert_allclose(lam_w, lam, atol=1e-12 * scale)
         npt.assert_allclose((q_w.T * lam_w) @ q_w, s, atol=1e-12 * scale)
         npt.assert_allclose(q_w @ q_w.T, np.eye(n), atol=1e-13)
+
+
+@pytest.mark.parametrize("case", NEAR_DEGENERATE)
+def test_near_degenerate_eigensystem_keeps_full_accuracy(case):
+    # cold, and warm from the eigenbasis of a nearby matrix: no NaN, no
+    # RuntimeWarning, the residual within the stop tolerance and q
+    # orthogonal to a few ulps (a Cayley step whose k is not exactly
+    # antisymmetric leaves q off by 1e-14 on close-pair)
+    s = near_degenerate(case)
+    n = len(s)
+    _, start = eigensystem(s + 1e-6 * symmetrize(np.random.default_rng(n).normal(size=(n, n))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        solves = [kernels.jacobi_eigensystem(s), kernels.jacobi_eigensystem(s, start)]
+    for lam, q in solves:
+        assert np.all(np.isfinite(lam)) and np.all(np.isfinite(q))
+        assert frobenius((q.T * lam) @ q - s) <= kernels.JACOBI_SWEEP_RTOL * frobenius(s)
+        assert frobenius(q @ q.T - np.eye(n)) <= 4 * n * np.finfo(float).eps
 
 
 def test_eigensystem_row_sign_convention():
