@@ -12,11 +12,13 @@ of the eigenvector matrix; |det| of a leading minor does not depend on the
 order of its rows, so each row set is factored once.  Membership in the hull
 is decided two independent ways: a phase-1 simplex looking for a doubly
 stochastic D with p = D lam (Hardy-Littlewood-Polya, Birkhoff-von Neumann),
+started at D = I and priced by Dantzig's rule with a fall back to Bland's,
 and the majorization inequalities on sorted prefix sums.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -151,51 +153,64 @@ def majorization_member(point, lam) -> bool:
     return bool(np.all(np.cumsum(p) <= np.cumsum(l) + slack))
 
 
+@functools.cache
+def _sum_rows(n: int) -> np.ndarray:
+    """Read-only row sums, then column sums, of a row-major n x n unknown."""
+    rows = np.vstack([np.repeat(np.eye(n), n, axis=1), np.tile(np.eye(n), n)])
+    rows.flags.writeable = False  # shared by every caller through the cache
+    return rows
+
+
+def _bland_entering(reduced: np.ndarray) -> int:
+    """Bland's rule: the first column with a negative reduced cost."""
+    return int(np.flatnonzero(reduced < -_SIMPLEX_COST_TOL)[0])
+
+
 def _phase1_residual(A: np.ndarray, b: np.ndarray) -> float:
-    """Minimal l1 infeasibility of A x = b, x >= 0, by the phase-1 simplex.
+    """Least sum_i |(D lam)_i - p_i| over doubly stochastic D by the phase-1
+    simplex, on ``hull_member``'s layout; zero (to rounding) means feasible.
 
-    Textbook dense tableau with one artificial variable per row and Bland's
-    rule, which cannot cycle.  Returns the optimal artificial mass; zero
-    (to rounding) means the system is feasible.
+    The sum rows hold exactly.  Each point row has two opposite artificials;
+    the start basis D = I takes its diagonal and superdiagonal (a spanning
+    tree of the sum rows), the artificial signed to hold |p_i - lam_i| and one
+    on the redundant first column sum, so it is nonsingular for every input.
+    Pricing is Dantzig's, then Bland's for good (which cannot cycle) once m
+    degenerate pivots come in a row.
     """
-    m, n = A.shape
-    A = A.copy()
-    b = b.copy()
-    for i in range(m):
-        if b[i] < 0.0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-    # columns: n structural, m artificial, then the rhs
-    t = np.zeros((m + 1, n + m + 1))
-    t[:m, :n] = A
-    t[:m, n:n + m] = np.eye(m)
-    t[:m, -1] = b
+    m, cols = A.shape
+    n = m // 3
+    i = np.arange(n)
+    diag = i * (n + 1)
+    sign = np.where(b[:n] >= A[i, diag], 1.0, -1.0)
+    # columns: structural, n signed and n opposite artificials, one more, rhs
+    t = np.zeros((m + 1, cols + 2 * n + 2))
+    t[:m, :cols], t[:m, -1] = A, b
+    t[i, cols + i], t[i, cols + n + i] = sign, -sign
+    t[2 * n, -2] = 1.0
+    basis = np.concatenate([diag, diag[:-1] + 1, cols + i, [cols + 2 * n]])
+    t[:m] = np.linalg.solve(t[:m, basis], t[:m])
     # phase-1 objective: sum of artificials, written in terms of nonbasics
-    t[m, :n] = -A.sum(axis=0)
-    t[m, -1] = -b.sum()
-    basis = list(range(n, n + m))
-
-    max_iters = 500 * (n + m + 1)
-    for _ in range(max_iters):
-        candidates = np.flatnonzero(t[m, :-1] < -_SIMPLEX_COST_TOL)
-        if len(candidates) == 0:
+    t[m, cols:-1] = 1.0
+    t[m] -= t[m, basis] @ t[:m]
+    reduced, rhs = t[m, :-1], t[:m, -1]
+    degenerate = 0
+    for _ in range(500 * t.shape[1]):
+        enter = int(reduced.argmin())
+        if reduced[enter] >= -_SIMPLEX_COST_TOL:
             break
-        enter = int(candidates[0])
-        leave, best_ratio = -1, math.inf
-        for i in range(m):
-            if t[i, enter] > _SIMPLEX_RATIO_TOL:
-                ratio = t[i, -1] / t[i, enter]
-                if ratio < best_ratio - _SIMPLEX_RATIO_TOL or (
-                    abs(ratio - best_ratio) <= _SIMPLEX_RATIO_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    leave, best_ratio = i, ratio
-        if leave < 0:
+        if degenerate >= m:
+            enter = _bland_entering(reduced)
+        rows = (t[:m, enter] > _SIMPLEX_RATIO_TOL).nonzero()[0]
+        if len(rows) == 0:
             raise ArithmeticError("phase-1 problem unbounded; inputs corrupt")
-        t[leave] /= t[leave, enter]
-        factors = t[:, enter].copy()
-        factors[leave] = 0.0
-        t -= np.outer(factors, t[leave])
+        ratios = rhs[rows] / t[rows, enter]
+        step = ratios.min()
+        ties = rows[ratios <= step + _SIMPLEX_RATIO_TOL]
+        leave = ties[basis[ties].argmin()]
+        degenerate = degenerate + 1 if step <= _SIMPLEX_RATIO_TOL else 0
+        pivot = t[leave] / t[leave, enter]
+        t -= t[:, enter, None] * pivot
+        t[leave] = pivot
         basis[leave] = enter
     else:
         raise ArithmeticError("phase-1 simplex failed to terminate")
@@ -217,11 +232,10 @@ def hull_member(point, lam) -> bool:
     if n > MAX_VERTEX_N:
         raise TooLarge(f"hull test at n = {n} is past the desk scale")
     scale = max(1.0, float(np.abs(lam).max()))
-    eye = np.eye(n)
+    sums = _sum_rows(n)
     # unknowns D[i, j] in row-major order; rows: (D lam)_i = p_i, then the
     # row sums and the column sums of D, all equal to 1
-    A = np.vstack([np.kron(eye, lam / scale), np.kron(eye, np.ones(n)),
-                   np.kron(np.ones(n), eye)])
+    A = np.vstack([sums[:n] * np.tile(lam / scale, n), sums])
     b = np.concatenate([point / scale, np.ones(2 * n)])
     return _phase1_residual(A, b) < FEASIBILITY_TOL
 

@@ -251,7 +251,14 @@ def flow_factorized_trajectory(s0, g: SpectralFunction, times) -> Trajectory:
     for t in times:
         exponents = t * vals
         states.append(weighted_conjugate(lam, q, np.exp(exponents - exponents.max())))
-    return Trajectory(times=times, states=states)
+    return _trusted(Trajectory, times=times, states=states)
+
+
+def _trusted(cls, **fields):
+    """``cls(**fields)`` for fields this module has checked, skipping ``__post_init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def time_grid(t_final: float, dt: float) -> np.ndarray:
@@ -315,14 +322,15 @@ def flow_integrated(s0, config: FlowConfig) -> Trajectory:
     """
     times = time_grid(config.t_final, config.dt)
     states = _rk4(_field(config.g), as_symmetric(s0), times)
-    return Trajectory(times=times, states=states)
+    return _trusted(Trajectory, times=times, states=states)
 
 
 def particle_flow(state0: TodaState, t_final: float, dt: float) -> ParticleTrajectory:
     """Classical RK4 on Hamilton's equations, recording every step."""
     times = time_grid(t_final, dt)
     zs = _rk4(_hamilton_field, np.vstack([state0.x, state0.y]), times)
-    return ParticleTrajectory(times=times, states=[TodaState(x=z[0], y=z[1]) for z in zs])
+    states = [_trusted(TodaState, x=z[0].copy(), y=z[1].copy()) for z in zs]
+    return _trusted(ParticleTrajectory, times=times, states=states)
 
 
 def detect_clusters(s) -> ClusterPartition:

@@ -373,6 +373,124 @@ def test_hull_and_majorization_agree_at_n6_to_8():
             assert hull_member(point, lam) is inside
 
 
+def edge_midpoints(lam, perm):
+    """Midpoints of the permutohedron edges at the vertex lam[perm]: each
+    swaps the places of two consecutive eigenvalues."""
+    vertex = lam[perm]
+    where = np.argsort(perm)  # lam[k] sits at vertex[where[k]]
+    mids = []
+    for k in range(len(lam) - 1):
+        other = vertex.copy()
+        other[[where[k], where[k + 1]]] = lam[k + 1], lam[k]
+        mids.append(0.5 * (vertex + other))
+    return mids
+
+
+def highs_l1_residual(A, b):
+    """The least sum_i |(D lam)_i - p_i| over doubly stochastic D, by HiGHS:
+    hull_member's layout, one pair of opposite slacks per point row."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n = A.shape[0] // 3
+    slack = np.zeros((3 * n, 2 * n))
+    slack[:n, :n], slack[:n, n:] = np.eye(n), -np.eye(n)
+    cost = np.concatenate([np.zeros(A.shape[1]), np.ones(2 * n)])
+    out = linprog(cost, A_eq=np.hstack([A, slack]), b_eq=b, bounds=(0.0, None),
+                  method="highs-ds", options={"primal_feasibility_tolerance": 1e-10,
+                                              "dual_feasibility_tolerance": 1e-10})
+    assert out.status == 0
+    return out.fun
+
+
+def test_hull_lp_optimum_matches_an_independent_solver(monkeypatch):
+    rng = np.random.default_rng(769)
+    calls = []
+    for n in range(2, 9):
+        lam = descending_spectrum(n, rng, lo=-3.0, hi=3.0, min_gap=0.3)
+        span = lam[0] - lam[-1]
+        bary = np.full(n, lam.mean())
+        calls += [(bfr_map(random_with_spectrum(lam, rng)), lam) for _ in range(2)]
+        calls += [(lam + 0.3 * (lam - bary), lam), (lam + 1e-5 * (lam - bary), lam)]
+        wild = rng.normal(size=n) * span
+        calls += [(wild + (lam.sum() - wild.sum()) / n, lam), (wild, lam)]
+        k = int(rng.integers(1, n))
+        normal = np.concatenate([np.full(k, 1.0 / k), np.full(n - k, -1.0 / (n - k))])
+        face = facet_point(lam, k, rng)
+        calls += [(face + sign * 1e-5 * span * normal, lam) for sign in (-1.0, 1.0)]
+    lps = []
+    with monkeypatch.context() as patch:  # record what hull_member hands its LP
+        patch.setattr(polytope, "_phase1_residual", lambda A, b: lps.append((A, b)) or 0.0)
+        for point, lam in calls:
+            hull_member(point, lam)
+    residuals = [polytope._phase1_residual(A, b) for A, b in lps]
+    for (A, b), ours in zip(lps, residuals):
+        assert abs(ours - highs_l1_residual(A, b)) < 1e-9
+    assert min(residuals) < polytope.FEASIBILITY_TOL < max(residuals)
+
+
+@pytest.fixture
+def bland_pivots(monkeypatch):
+    """Record each entering column the simplex picks by Bland's rule."""
+    pick = polytope._bland_entering
+    picks = []
+
+    def spy(reduced):
+        picks.append(pick(reduced))
+        return picks[-1]
+
+    monkeypatch.setattr(polytope, "_bland_entering", spy)
+    return picks
+
+
+def test_hull_lp_on_degenerate_points(bland_pivots):
+    rng = np.random.default_rng(773)
+    for n in range(2, 6):
+        for lam in (descending_spectrum(n, rng, lo=-3.0, hi=3.0, min_gap=0.3),
+                    np.arange(n, 0.0, -1.0)):
+            for perm in itertools.permutations(range(n)):
+                assert hull_member(lam[list(perm)], lam)
+    # the vertices of an integer spectrum at n = 6 include LPs that stall for
+    # 3n degenerate pivots in a row, so the simplex falls back to Bland's rule
+    lam = np.arange(6, 0.0, -1.0)
+    for perm in itertools.permutations(range(6)):
+        assert hull_member(lam[list(perm)], lam)
+    assert bland_pivots
+    for n in (6, 7, 8):
+        lam = descending_spectrum(n, rng, lo=-3.0, hi=3.0, min_gap=0.3)
+        span = lam[0] - lam[-1]
+        for _ in range(3):
+            for mid in edge_midpoints(lam, rng.permutation(n)):
+                assert hull_member(mid, lam)
+        for k in range(1, n):
+            face = facet_point(lam, k, rng)
+            normal = np.concatenate([np.full(k, 1.0 / k), np.full(n - k, -1.0 / (n - k))])
+            order = rng.permutation(n)
+            for sign, inside in ((-1.0, True), (1.0, False)):
+                point = np.empty(n)
+                point[order] = face + sign * 1e-5 * span * normal
+                assert hull_member(point, lam) is inside
+
+
+def test_hull_member_past_the_cap_agrees_with_majorization(monkeypatch):
+    # the cap stays at 8; the LP itself is polynomial in n
+    monkeypatch.setattr(polytope, "MAX_VERTEX_N", 16)
+    rng = np.random.default_rng(787)
+    for n in (12, 16):
+        lam = -np.cumsum(rng.uniform(0.3, 1.0, size=n))
+        lam -= lam.mean()  # strictly descending, gaps at least 0.3
+        span = lam[0] - lam[-1]
+        points = [(bfr_map(random_with_spectrum(lam, rng)), True) for _ in range(2)]
+        for k in (1, n // 3, n - 1):
+            face = facet_point(lam, k, rng)
+            normal = np.concatenate([np.full(k, 1.0 / k), np.full(n - k, -1.0 / (n - k))])
+            points += [(face - 1e-5 * span * normal, True), (face + 1e-5 * span * normal, False)]
+        vertex = lam[rng.permutation(n)]
+        bary = np.full(n, lam.mean())
+        points += [(vertex + 1e-5 * (bary - vertex), True), (vertex + 1e-5 * (vertex - bary), False)]
+        for point, inside in points:
+            assert majorization_member(point, lam) is inside
+            assert hull_member(point, lam) is inside
+
+
 # ----------------------------------------------------- slice images & basis
 
 def test_slice_points_fill_the_polytope_distinctly():

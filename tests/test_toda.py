@@ -39,7 +39,7 @@ from matslice import (
     time_grid,
     toda_field,
 )
-from matslice import kernels
+from matslice import kernels, linalg, slices, toda
 from conftest import maxabs
 
 IDENTITY = SpectralFunction.identity()
@@ -452,6 +452,48 @@ def test_particle_flow_validation():
         particle_flow(st, -1.0, 0.1)
     with pytest.raises(ValueError):
         particle_flow(st, 1.0, 0.0)
+
+
+@pytest.fixture
+def vector_checks(monkeypatch):
+    """Record the ``what`` of every vector check that toda and slices run."""
+    check = linalg.as_vector
+    seen = []
+
+    def spy(v, what, n=None):
+        seen.append(what)
+        return check(v, what, n)
+
+    monkeypatch.setattr(toda, "as_vector", spy)
+    monkeypatch.setattr(slices, "as_vector", spy)
+    return seen
+
+
+def test_particle_flow_checks_do_not_grow_with_the_steps(vector_checks):
+    st = TodaState(x=np.array([0.6, 0.0, -0.6]), y=np.array([-0.2, 0.1, 0.1]))
+    counts = []
+    for steps in (10, 200):
+        vector_checks.clear()
+        traj = particle_flow(st, 1.0, 1.0 / steps)
+        counts.append(len(vector_checks))
+        assert isinstance(traj, ParticleTrajectory) and len(traj) == steps + 1
+    assert counts[0] == counts[1]
+    # every state owns its arrays, and the checks it skipped would pass
+    assert all(a.flags.owndata for s in traj.states for a in (s.x, s.y))
+    for s in traj.states:
+        TodaState(x=s.x, y=s.y)
+
+
+def test_matrix_flows_check_their_time_grid_once(vector_checks):
+    j = random_jacobi(4, np.random.default_rng(619))
+    flow_factorized(j, IDENTITY, 0.7)
+    assert vector_checks == ["sample times"]
+    vector_checks.clear()
+    traj = flow_factorized_trajectory(j, IDENTITY, [0.0, 0.5, 1.0])
+    assert vector_checks == ["sample times"] and len(traj) == 3
+    vector_checks.clear()
+    traj = flow_integrated(j, FlowConfig(IDENTITY, 1.0, 0.1))
+    assert vector_checks == [] and len(traj) == len(traj.times) == 11
 
 
 # ------------------------------------------------------------- diagnostics
