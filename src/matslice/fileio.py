@@ -48,8 +48,8 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
 
 def _numbers(value, what: str, size: int | None = None) -> np.ndarray:
     """A JSON array of numbers, of ``size`` entries if given, as a finite float array."""
-    if not isinstance(value, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
+    # JSON decoding gives exact types, so this refuses bool, str, None and lists
+    if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
         raise InvalidFormat(f"{what} must be an array of numbers")
     if size is not None and len(value) != size:
         raise InvalidFormat(f"{what} must hold exactly {size} numbers")
@@ -113,10 +113,11 @@ def _floats(values) -> list[float]:
 
 def _write_csv(path_or_file, header: list[str], table, labels=None):
     """The header, then each table row at %.17g, after its label if given."""
+    rows = np.asarray(table, dtype=float).tolist()
     with _opened(path_or_file, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k, row in enumerate(table):
+        for k, row in enumerate(rows):
             cells = [f"{v:.17g}" for v in row]
             writer.writerow(cells if labels is None else [labels[k], *cells])
 

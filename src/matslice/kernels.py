@@ -4,7 +4,9 @@ Nothing here validates.  A kernel expects what its public caller checked
 once: a finite square float array, n >= 2, exactly symmetric where it reads
 a symmetric matrix.  The eigensolver is deliberately *not* QR-based, since QR
 iteration is one of the objects under study: Jacobi rotation sweeps, finished
-by Cayley steps once the iterate is diagonally dominant.  QR is LAPACK's.  Both
+by Cayley steps once the iterate is diagonally dominant.  Its core,
+``jacobi_unordered``, leaves the eigensystem in the order its passes give;
+``jacobi_eigensystem`` sorts it and fixes the signs.  QR is LAPACK's.  Both
 divide their input by a power of two of its largest entry (exact) and scale
 the result back, and the norms do the same at extreme scales, so results do
 not depend on the input's scale.  Imports nothing of matslice but ``errors``.
@@ -114,13 +116,16 @@ def round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
 
 
 @functools.cache
-def off_diagonal(n: int) -> np.ndarray:
-    """Read-only flat positions (row * n + column) of the entries above the
-    diagonal, then of their mirrors below it, built on first use."""
+def solver_layout(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only arrays the eigensolver reuses at size n, built on first use:
+    the identity, ``arange(n)``, the row and the column indices of the
+    entries above the diagonal, and the flat positions (row * n + column) of
+    those entries, then of their mirrors below it."""
     i, j = np.triu_indices(n, 1)
-    flat = np.concatenate((i * n + j, j * n + i))
-    flat.flags.writeable = False  # shared by every caller through the cache
-    return flat
+    arrays = (np.eye(n), np.arange(n), i, j, np.concatenate((i * n + j, j * n + i)))
+    for x in arrays:
+        x.flags.writeable = False  # shared by every caller through the cache
+    return arrays
 
 
 def _sweep(a: np.ndarray, v: np.ndarray, eye: np.ndarray
@@ -142,10 +147,11 @@ def _sweep(a: np.ndarray, v: np.ndarray, eye: np.ndarray
     return a, v
 
 
-def jacobi_eigensystem(a: np.ndarray, start: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric eigensystem ``(lam, q)`` by round-robin Jacobi rotations,
-    finished by Cayley steps, laid out as ``linalg.eigensystem`` documents.
+def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric eigensystem ``a = q.T @ diag(lam) @ q`` by round-robin Jacobi
+    rotations finished by Cayley steps, in the order and with the row signs
+    the passes leave: lam is the diagonal of the last iterate.
 
     Works on a / 2^e until the off-diagonal norm drops below
     ``1e-13 * ||a||``, at most 50 passes.  A pass is one rotation sweep,
@@ -155,47 +161,57 @@ def jacobi_eigensystem(a: np.ndarray, start: np.ndarray | None = None
     k_ij = a_ij / (a_ii - a_jj) = -k_ji (i < j) built from the upper
     triangle.  ||k|| <= 1/4 then, and the step leaves an off-diagonal of
     order ||off||^2 / gap (quadratic convergence, as in eigenvector
-    refinement from an approximate basis).  ``start``, an orthogonal matrix whose rows nearly diagonalize
-    ``a`` (the q of a nearby matrix), warm-starts from ``start @ a @ start.T``:
-    the same eigensystem to roundoff, mostly by Cayley steps alone.  One
-    Newton-Schulz step first squares the start's distance from orthogonal, so
-    a chain of starts, each the last result, cannot drift.
+    refinement from an approximate basis).  ``start``, an orthogonal matrix
+    whose rows nearly diagonalize ``a`` in any order and with any signs (the
+    q of a nearby matrix), warm-starts from ``start @ a @ start.T``: the
+    same eigensystem to roundoff, mostly by Cayley steps alone.  One
+    Newton-Schulz step first squares the start's distance from orthogonal,
+    so a chain of starts, each the last result, cannot drift.
     """
     n = a.shape[0]
+    eye, _, rows, cols, off = solver_layout(n)
     e = _binade(a)
     a = np.ldexp(a, -e)
-    eye = np.eye(n)
     if start is None:
-        v = eye
+        v = eye.copy()  # the cached identity is shared and read-only
     else:
         u = start - 0.5 * (start @ start.T - eye) @ start
         a = symmetrize(u @ a @ u.T)
         v = u.T.copy()
-    off = off_diagonal(n)
-    upper = off[:len(off) // 2]
-    # max|a| < 1 now, so plain norms are safe
-    tol2 = (JACOBI_SWEEP_RTOL * np.linalg.norm(a)) ** 2
+    m = len(rows)
+    upper = off[:m]
+    # max|a| < 1 now, so the plain norm is safe (in any order: a is symmetric)
+    tol2 = (JACOBI_SWEEP_RTOL * math.sqrt((flat := a.ravel()) @ flat)) ** 2
     passes = 0
     while (off2 := (x := a.take(off)) @ x) > tol2:
         if passes >= _MAX_SWEEPS:
             raise ArithmeticError("Jacobi eigensolver failed to converge")
-        d = np.diag(a)
+        d = a.diagonal()
+        ranked = d.copy()
+        ranked.sort()
         # off2 > 0 here, so the gate also refuses a zero gap
-        if off2 <= (CAYLEY_GATE * np.diff(np.sort(d)).min()) ** 2:
-            half = 0.5 * x[:len(upper)] / np.subtract.outer(d, d).take(upper)
-            h = np.zeros((n, n))
-            h.put(off, np.concatenate((half, -half)))
-            w = np.linalg.solve(eye - h, eye + h)
+        if off2 <= (CAYLEY_GATE * (ranked[1:] - ranked[:-1]).min()) ** 2:
+            half = np.zeros((n, n))  # k/2 above the diagonal
+            half.put(upper, 0.5 * x[:m] / (d[rows] - d[cols]))
+            plus = eye + half - half.T  # I + k/2; its transpose is I - k/2
+            w = np.linalg.solve(plus.T, plus)
             a = w @ a @ w.T
             v = v @ w.T
         else:
             a, v = _sweep(a, v, eye)
         passes += 1
-    lam = np.ldexp(np.diag(a), e)
-    order = np.argsort(-lam, kind="stable")
-    q = v[:, order].T
-    first = np.argmax(np.abs(q) > _SIGN_PICK_TOL, axis=1)
-    flip = q[np.arange(n), first] < 0.0
+    return np.ldexp(a.diagonal(), e), v.T
+
+
+def jacobi_eigensystem(a: np.ndarray, start: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """``jacobi_unordered`` laid out as ``linalg.eigensystem`` documents: lam
+    descending (stable sort), each row's first entry above 1e-12 made positive."""
+    lam, q = jacobi_unordered(a, start)
+    order = (-lam).argsort(kind="stable")
+    q = q.T[:, order].T
+    first = (np.abs(q) > _SIGN_PICK_TOL).argmax(axis=1)
+    flip = q[solver_layout(len(lam))[1], first] < 0.0
     return lam[order], np.where(flip[:, None], -q, q)
 
 

@@ -62,6 +62,13 @@ class Trajectory:
         return self.states[-1]
 
 
+def trusted(cls, **fields):
+    """``cls(**fields)`` for fields the caller has checked, skipping ``__post_init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def weighted_conjugate(lam, q, w) -> np.ndarray:
     """Q.T diag(lam) Q, where Q is the orthogonal QR factor of diag(w) @ q.
 
@@ -142,7 +149,7 @@ def iterate_qr(s, steps: int, f: SpectralFunction = SpectralFunction.identity())
     for _ in range(int(steps)):
         state = _step(state, f)
         states.append(state)
-    return Trajectory(times=np.arange(len(states), dtype=float), states=states)
+    return trusted(Trajectory, times=np.arange(len(states), dtype=float), states=states)
 
 
 def slice_point(s, w) -> np.ndarray:

@@ -42,7 +42,7 @@ from .linalg import (
     offdiag_norm,
     symmetrize,
 )
-from .slices import Trajectory, as_time_grid, weighted_conjugate
+from .slices import Trajectory, as_time_grid, trusted, weighted_conjugate
 
 CONVERGED_RTOL = 1e-6
 DEFAULT_BOND_TOL = 1e-8
@@ -188,6 +188,9 @@ def _field(g: SpectralFunction):
     eigensolve starts from the eigenbasis of the call before: successive RK4
     stages differ by O(dt), so the eigenvectors of one nearly diagonalize the
     next and the eigensolver finishes by Cayley steps, with no rotation sweep.
+    The chain runs on the solver's unordered core: q.T diag(g(lam)) q does
+    not depend on the order or the signs of q's rows, and the warm start
+    takes any orthogonal rows, so sorting and sign fixing would be wasted.
     """
     def lax(a: np.ndarray, ga: np.ndarray) -> np.ndarray:
         c = a @ kernels.skew_part(ga)
@@ -210,7 +213,7 @@ def _field(g: SpectralFunction):
 
     def field(a: np.ndarray) -> np.ndarray:
         nonlocal basis
-        lam, basis = kernels.jacobi_eigensystem(a, basis)
+        lam, basis = kernels.jacobi_unordered(a, basis)
         return lax(a, symmetrize((basis.T * function_values(g, lam)) @ basis))
 
     return field
@@ -251,14 +254,7 @@ def flow_factorized_trajectory(s0, g: SpectralFunction, times) -> Trajectory:
     for t in times:
         exponents = t * vals
         states.append(weighted_conjugate(lam, q, np.exp(exponents - exponents.max())))
-    return _trusted(Trajectory, times=times, states=states)
-
-
-def _trusted(cls, **fields):
-    """``cls(**fields)`` for fields this module has checked, skipping ``__post_init__``."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+    return trusted(Trajectory, times=times, states=states)
 
 
 def time_grid(t_final: float, dt: float) -> np.ndarray:
@@ -322,15 +318,15 @@ def flow_integrated(s0, config: FlowConfig) -> Trajectory:
     """
     times = time_grid(config.t_final, config.dt)
     states = _rk4(_field(config.g), as_symmetric(s0), times)
-    return _trusted(Trajectory, times=times, states=states)
+    return trusted(Trajectory, times=times, states=states)
 
 
 def particle_flow(state0: TodaState, t_final: float, dt: float) -> ParticleTrajectory:
     """Classical RK4 on Hamilton's equations, recording every step."""
     times = time_grid(t_final, dt)
     zs = _rk4(_hamilton_field, np.vstack([state0.x, state0.y]), times)
-    states = [_trusted(TodaState, x=z[0].copy(), y=z[1].copy()) for z in zs]
-    return _trusted(ParticleTrajectory, times=times, states=states)
+    states = [trusted(TodaState, x=z[0].copy(), y=z[1].copy()) for z in zs]
+    return trusted(ParticleTrajectory, times=times, states=states)
 
 
 def detect_clusters(s) -> ClusterPartition:

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -9,6 +10,7 @@ from matslice import (
     DimensionMismatch,
     InvalidFormat,
     MoserCoordinates,
+    ParticleTrajectory,
     Trajectory,
     TodaState,
     accessible_vertices,
@@ -83,6 +85,15 @@ def test_matrix_rejects_malformed_documents():
     for text in cases:
         with pytest.raises(InvalidFormat):
             read_matrix(io.StringIO(text))
+
+
+@pytest.mark.parametrize("bad", ["true", '"1"', "null", "[1]"],
+                         ids=["bool", "string", "null", "nested"])
+def test_number_arrays_refuse_every_other_json_value(bad):
+    with pytest.raises(InvalidFormat):
+        read_matrix(io.StringIO(f'{{"n": 2, "data": [1, 2.5, 3, {bad}]}}'))
+    with pytest.raises(InvalidFormat):
+        read_moser(io.StringIO(f'{{"lambda": [3, 1], "w": [0.6, {bad}]}}'))
 
 
 def test_matrix_ignores_extra_keys():
@@ -270,6 +281,40 @@ def test_projection_csv_labels():
     assert len(lines) == 1 + 6
     labels = {line.split(",")[0] for line in lines[1:]}
     assert "1-2-3" in labels and "3-2-1" in labels
+
+
+# Strictly increasing, as sample times must be, with every %.17g corner case.
+EDGE_VALUES = [-1.7976931348623157e308, -0.0, 5e-324, 1 / 3, 1.7976931348623157e308]
+
+
+def per_cell_csv(header, rows) -> str:
+    """The reference CSV: each cell formatted as an np.float64 scalar."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{np.float64(v):.17g}" for v in row])
+    return buf.getvalue()
+
+
+def test_csv_writers_match_the_per_cell_reference_bytewise():
+    traj = Trajectory(times=EDGE_VALUES,
+                      states=[np.array([[v, 1 / 3], [-0.0, -v]]) for v in EDGE_VALUES])
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    rows = [[t, *s.ravel()] for t, s in zip(traj.times, traj.states)]
+    assert buf.getvalue() == per_cell_csv("t a11 a12 a21 a22".split(), rows)
+    for cell in ("-1.7976931348623157e+308", "-0", "4.9406564584124654e-324",
+                 "0.33333333333333331"):
+        assert f",{cell}," in buf.getvalue()
+
+    states = [TodaState(x=np.array([-0.0, 5e-324, 1 / 3]), y=np.array([1 / 3, v, -0.0]))
+              for v in (-0.0, 5e-324, 1 / 3, 0.25, -2.0)]
+    ptraj = ParticleTrajectory(times=EDGE_VALUES, states=states)
+    buf = io.StringIO()
+    write_particle_csv(ptraj, buf)
+    rows = [[t, *s.x, *s.y, hamiltonian(s)] for t, s in zip(ptraj.times, ptraj.states)]
+    assert buf.getvalue() == per_cell_csv("t x1 x2 x3 y1 y2 y3 H".split(), rows)
 
 
 # ------------------------------------------------------------------- reports

@@ -114,7 +114,7 @@ def test_skew_part_mask_is_shared_read_only_and_never_returned():
 def sweeps(monkeypatch):
     """[warm, rotation sweeps] of each eigensolve, in call order."""
     solves = []
-    solve, sweep = kernels.jacobi_eigensystem, kernels._sweep
+    solve, sweep = kernels.jacobi_unordered, kernels._sweep
 
     def counting_solve(a, start=None):
         solves.append([start is not None, 0])
@@ -124,7 +124,7 @@ def sweeps(monkeypatch):
         solves[-1][1] += 1
         return sweep(*args)
 
-    monkeypatch.setattr(kernels, "jacobi_eigensystem", counting_solve)
+    monkeypatch.setattr(kernels, "jacobi_unordered", counting_solve)
     monkeypatch.setattr(kernels, "_sweep", counting_sweep)
     return solves
 

@@ -225,6 +225,46 @@ def test_near_degenerate_eigensystem_keeps_full_accuracy(case):
         assert frobenius(q @ q.T - np.eye(n)) <= 4 * n * np.finfo(float).eps
 
 
+def dense_or_near_degenerate(case) -> np.ndarray:
+    """The warm-start inputs: a dense matrix of size ``case``, or a NEAR_DEGENERATE case."""
+    if isinstance(case, int):
+        return symmetrize(np.random.default_rng(41 + case).normal(size=(case, case)))
+    return near_degenerate(case)
+
+
+@pytest.mark.parametrize("case", [2, 5, 8, *NEAR_DEGENERATE])
+def test_unordered_core_takes_a_start_in_any_row_order_and_signs(case):
+    # the Lax field chains the core's own unsorted, unsigned bases
+    s = dense_or_near_degenerate(case)
+    n = len(s)
+    rng = np.random.default_rng(43)
+    _, near = eigensystem(s + 1e-6 * symmetrize(rng.normal(size=(n, n))))
+    start = near[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=(n, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lam, q = kernels.jacobi_unordered(s, start)
+    assert frobenius((q.T * lam) @ q - s) <= kernels.JACOBI_SWEEP_RTOL * frobenius(s)
+    assert frobenius(q @ q.T - np.eye(n)) <= 4 * n * np.finfo(float).eps
+    npt.assert_allclose(np.sort(lam)[::-1], eigensystem(s)[0], atol=1e-12 * frobenius(s))
+
+
+@pytest.mark.parametrize("case", [2, 5, 8, *NEAR_DEGENERATE])
+def test_eigensystem_kernel_is_the_core_sorted_and_signed(case):
+    s = dense_or_near_degenerate(case)
+    n = len(s)
+    rng = np.random.default_rng(47)
+    _, near = eigensystem(s + 1e-6 * symmetrize(rng.normal(size=(n, n))))
+    for start in (None, near[::-1] * rng.choice([-1.0, 1.0], size=(n, 1))):
+        lam, q = kernels.jacobi_unordered(s, start)
+        order = np.argsort(-lam, kind="stable")
+        # each row's first entry above 1e-12 in magnitude made positive
+        want = np.array([row if row[np.abs(row) > 1e-12][0] > 0.0 else -row
+                         for row in q[order]])
+        got_lam, got_q = kernels.jacobi_eigensystem(s, start)
+        assert got_lam.tobytes() == lam[order].tobytes()
+        assert got_q.tobytes() == want.tobytes()
+
+
 def test_eigensystem_row_sign_convention():
     rng = np.random.default_rng(3)
     for _ in range(20):

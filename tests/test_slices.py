@@ -28,6 +28,7 @@ from matslice import (
     slice_point,
     symmetrize,
 )
+from matslice import slices
 from matslice.slices import IRREDUCIBLE_RTOL
 from conftest import maxabs
 
@@ -256,6 +257,15 @@ def test_iterate_qr_zero_steps():
     traj = iterate_qr(s, 0)
     assert len(traj) == 1
     npt.assert_array_equal(traj.final, s)
+
+
+def test_iterate_qr_checks_no_vector(monkeypatch):
+    # its sample times are np.arange's, so as_time_grid has nothing to check
+    check, calls = slices.as_vector, []
+    monkeypatch.setattr(slices, "as_vector", lambda *args: calls.append(args) or check(*args))
+    traj = iterate_qr(random_with_spectrum([3.0, 2.0, 1.0], np.random.default_rng(277)), 5)
+    assert calls == [] and len(traj) == 6
+    npt.assert_array_equal(traj.times, np.arange(6.0))
 
 
 def test_trajectory_validation():

@@ -201,14 +201,14 @@ def test_horner_field_matches_the_eigenbasis_field(kind, n):
 @pytest.fixture
 def eigensolves(monkeypatch):
     """Record, for each call of the eigensolver kernel, whether it was warm-started."""
-    solve = kernels.jacobi_eigensystem
+    solve = kernels.jacobi_unordered
     warm = []
 
     def spy(a, start=None):
         warm.append(start is not None)
         return solve(a, start)
 
-    monkeypatch.setattr(kernels, "jacobi_eigensystem", spy)
+    monkeypatch.setattr(kernels, "jacobi_unordered", spy)
     return warm
 
 
@@ -352,17 +352,17 @@ def test_warm_started_flow_matches_cold_eigensolves(monkeypatch):
     rng = np.random.default_rng(613)
     s = random_jacobi(5, rng, spectrum=[4.0, 3.1, 2.0, 1.2, 0.5])
     cfg = FlowConfig(g=SpectralFunction.log(), t_final=0.2, dt=0.01)
-    solve = kernels.jacobi_eigensystem
+    solve = kernels.jacobi_unordered
     warm_starts = []
 
     def spy(a, start=None):
         warm_starts.append(start is not None)
         return solve(a, start=start)
 
-    monkeypatch.setattr(kernels, "jacobi_eigensystem", spy)
+    monkeypatch.setattr(kernels, "jacobi_unordered", spy)
     warm = flow_integrated(s, cfg)
     assert warm_starts == [False] + [True] * 79  # four stages per step
-    monkeypatch.setattr(kernels, "jacobi_eigensystem", lambda a, start=None: solve(a))
+    monkeypatch.setattr(kernels, "jacobi_unordered", lambda a, start=None: solve(a))
     cold = flow_integrated(s, cfg)
     for x, y in zip(warm.states, cold.states):
         assert maxabs(x - y) < 1e-13 * frobenius(s)
