@@ -112,14 +112,13 @@ def _floats(values) -> list[float]:
 
 
 def _write_csv(path_or_file, header: list[str], table, labels=None):
-    """The header, then each table row at %.17g, after its label if given."""
+    """The header, then each row at %.17g after its label if given, as csv.writer would."""
     rows = np.asarray(table, dtype=float).tolist()
+    line = ",".join(["%.17g"] * (len(header) - (labels is not None))) + "\r\n"
+    prefixes = [""] * len(rows) if labels is None else [f"{label}," for label in labels]
     with _opened(path_or_file, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, row in enumerate(rows):
-            cells = [f"{v:.17g}" for v in row]
-            writer.writerow(cells if labels is None else [labels[k], *cells])
+        csv.writer(fh).writerow(header)
+        fh.writelines(prefix + line % tuple(row) for prefix, row in zip(prefixes, rows))
 
 
 def _read_csv(path_or_file, what: str, header_ok) -> np.ndarray:

@@ -19,7 +19,7 @@ from .errors import NotJacobi, ReconstructionFailure
 from .linalg import as_square, as_symmetric, as_vector
 
 WEIGHT_FLOOR = 1e-10        # refuse reconstruction below this first-coordinate size
-LANCZOS_BREAKDOWN = 1e-12   # off-diagonal breakdown threshold inside Lanczos
+LANCZOS_BREAKDOWN = 1e-12   # Lanczos off-diagonal breakdown threshold, relative to max|lam|
 COORDINATE_GAP_RTOL = 1e-9  # descending-eigenvalue gap required of coordinates
 
 
@@ -85,15 +85,15 @@ def moser_coordinates(j) -> MoserCoordinates:
 def moser_reconstruct(lam, w) -> np.ndarray:
     """Rebuild the Jacobi matrix with spectrum lam and weight vector w.
 
-    Lanczos on the operator diag(lam) started at w, reorthogonalizing against
-    all previous vectors each step.  Refuses weight entries below 1e-10 (too
-    close to a reducible matrix) and raises ReconstructionFailure when an
-    off-diagonal falls below 1e-12.  Validation (descending simple spectrum,
-    positive weights) and normalization happen through MoserCoordinates.
+    Lanczos on diag(lam) / 2^e, 2^e just above max|lam| (exact, so the result
+    scales with lam), started at w and reorthogonalized against all previous
+    vectors each step.  Refuses weight entries below 1e-10 (too close to a
+    reducible matrix) and raises ReconstructionFailure when an off-diagonal
+    falls below 1e-12 * 2^e.  MoserCoordinates validates and normalizes.
     """
     coords = MoserCoordinates(lam=lam, w=w)
-    lam = coords.lam
-    w = coords.w
+    e = int(np.frexp(np.abs(coords.lam).max())[1])
+    lam, w = np.ldexp(coords.lam, -e), coords.w
     n = len(lam)
     if float(w.min()) < WEIGHT_FLOOR:
         raise ReconstructionFailure(
@@ -119,8 +119,8 @@ def moser_reconstruct(lam, w) -> np.ndarray:
         beta = float(np.linalg.norm(resid))
         if beta < LANCZOS_BREAKDOWN:
             raise ReconstructionFailure(
-                f"Lanczos off-diagonal {beta:.3e} fell below {LANCZOS_BREAKDOWN:.0e} "
-                f"at step {k + 1}"
+                f"Lanczos off-diagonal {np.ldexp(beta, e):.3e} fell below "
+                f"{np.ldexp(LANCZOS_BREAKDOWN, e):.3e} at step {k + 1}"
             )
         betas[k] = beta
         vec = resid / beta
@@ -128,4 +128,4 @@ def moser_reconstruct(lam, w) -> np.ndarray:
     idx = np.arange(n - 1)
     out[idx, idx + 1] = betas
     out[idx + 1, idx] = betas
-    return out
+    return np.ldexp(out, e)

@@ -238,6 +238,14 @@ def strict_lower(n: int) -> np.ndarray:
     return mask
 
 
+@functools.cache
+def skew_signs(n: int) -> np.ndarray:
+    """Read-only signs of the skew split: +1 below the diagonal, -1 above, 0 on it."""
+    signs = np.tri(n, k=-1) - np.tri(n, k=-1).T
+    signs.flags.writeable = False  # shared by every caller through the cache
+    return signs
+
+
 def skew_part(a: np.ndarray) -> np.ndarray:
     """Skew part of the unique skew + upper-triangular splitting: below the
     diagonal a, above its negated mirror, zero diagonal; exact.  The cached

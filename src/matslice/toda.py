@@ -160,61 +160,68 @@ def inverse_flaschka(j) -> TodaState:
 
 def particle_field(state: TodaState) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of Hamilton's equations for the particle system."""
-    return tuple(_hamilton_field(np.vstack([state.x, state.y])))
+    z = np.vstack([state.x, state.y])
+    return tuple(_hamilton_field(state.n)(z, np.empty_like(z)))
 
 
-def _hamilton_field(z: np.ndarray) -> np.ndarray:
-    # rows x over y; force f[k-1] - f[k], bond terms f zero-padded at both ends
-    f = np.zeros(z.shape[1] + 1)
-    np.exp(z[0, :-1] - z[0, 1:], out=f[1:-1])
-    dz = np.empty_like(z)
-    dz[0] = z[1]
-    np.subtract(f[:-1], f[1:], out=dz[1])
-    return dz
+def _hamilton_field(n: int):
+    f = np.zeros(n + 1)  # bond terms f, zero-padded at both ends: force f[k-1] - f[k]
+
+    def field(z: np.ndarray, out: np.ndarray) -> np.ndarray:  # rows x over y
+        np.exp(z[0, :-1] - z[0, 1:], out=f[1:-1])
+        out[0] = z[1]
+        np.subtract(f[:-1], f[1:], out=out[1])
+        return out
+
+    return field
 
 
 def toda_field(s, g: SpectralFunction) -> np.ndarray:
     """Lax vector field [s, skew_part(g(s))]; g must be defined on the spectrum."""
-    return _field(g)(as_symmetric(s))
+    a = as_symmetric(s)
+    return _field(g, len(a))(a, np.empty_like(a))
 
 
-def _field(g: SpectralFunction):
-    """The Lax field of g on validated, exactly symmetric arrays.
-
-    [a, b] = c + c.T for b = skew_part(g(a)) and c = a @ b, as (a b).T = -b a
-    for symmetric a and skew b: one product, exactly symmetric.  A polynomial
-    g (``polynomial``, or ``power`` with a nonnegative integer exponent) is
-    evaluated by Horner, with no eigensolve.  For every other g each
-    eigensolve starts from the eigenbasis of the call before: successive RK4
-    stages differ by O(dt), so the eigenvectors of one nearly diagonalize the
-    next and the eigensolver finishes by Cayley steps, with no rotation sweep.
-    The chain runs on the solver's unordered core: q.T diag(g(lam)) q does
-    not depend on the order or the signs of q's rows, and the warm start
-    takes any orthogonal rows, so sorting and sign fixing would be wasted.
+def _field(g: SpectralFunction, n: int):
+    """The Lax field of g on n x n validated, exactly symmetric arrays, as
+    ``field(a, out)``: [a, b] = c + c.T for skew b and c = a @ b, as
+    (a b).T = -b a for symmetric a: one product, exactly symmetric.  b is
+    g(a) * kernels.skew_signs(n), which is skew_part(g(a)) for exactly
+    symmetric g(a) up to the signs of zeros, and off by g(a)'s roundoff
+    asymmetry when Horner evaluates a polynomial g (``polynomial``, or
+    ``power`` with a nonnegative integer exponent) with no eigensolve.  For
+    every other g each eigensolve starts from the eigenbasis of the call
+    before: successive RK4 stages differ by O(dt), so the eigenvectors of
+    one nearly diagonalize the next and the eigensolver finishes by Cayley
+    steps.  The chain runs on the solver's unordered core: q.T diag(g(lam)) q
+    ignores the order and signs of q's rows, and the warm start takes any
+    orthogonal rows, so sorting and sign fixing would be wasted.
     """
-    def lax(a: np.ndarray, ga: np.ndarray) -> np.ndarray:
-        c = a @ kernels.skew_part(ga)
-        return c + c.T
+    sigma = kernels.skew_signs(n)
+
+    def lax(a: np.ndarray, ga: np.ndarray, out: np.ndarray):
+        c = a @ (ga * sigma)
+        return np.add(c, c.T, out=out)
 
     if g.kind == "identity":
-        return lambda a: lax(a, a)
+        return lambda a, out: lax(a, a, out)
     if g.kind in ("polynomial", "power") and not (g.requires_positive or g.requires_nonzero):
         coeffs = g.coeffs or ((0.0,) * int(g.exponent) + (1.0,))
 
-        def horner(a: np.ndarray) -> np.ndarray:
-            ga = np.diag(np.full(len(a), coeffs[-1]))
+        def horner(a: np.ndarray, out: np.ndarray):
+            ga = np.diag(np.full(n, coeffs[-1]))
             for c in reversed(coeffs[:-1]):
                 ga = ga @ a
-                ga.flat[::len(a) + 1] += c
-            return lax(a, ga)
+                ga.flat[::n + 1] += c
+            return lax(a, ga, out)
 
         return horner
     basis = None
 
-    def field(a: np.ndarray) -> np.ndarray:
+    def field(a: np.ndarray, out: np.ndarray):
         nonlocal basis
         lam, basis = kernels.jacobi_unordered(a, basis)
-        return lax(a, symmetrize((basis.T * function_values(g, lam)) @ basis))
+        return lax(a, symmetrize((basis.T * function_values(g, lam)) @ basis), out)
 
     return field
 
@@ -289,23 +296,28 @@ def _check_span(t_final: float, dt: float):
         )
 
 
-def _rk4(field, z: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
-    """Classical RK4 on dz/dt = field(z) from z at times[0]; the state at every time.
+def _rk4(field, z: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Classical RK4 on dz/dt = field(z) from z at times[0]: all states, as one array.
 
-    Raises ValueError as soon as a step leaves the finite numbers, which is
-    how a step size too large for the field shows.
-    """
-    states = [z]
-    for h in np.diff(times):
-        k1 = field(z)
-        k2 = field(z + 0.5 * h * k1)
-        k3 = field(z + 0.5 * h * k2)
-        k4 = field(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(z).all():
+    ``field(z, out)`` writes its slope into a row of one (4, *z.shape) buffer; a step
+    is one product of h/6 (1, 2, 2, 1) with the flattened slopes, within roundoff of
+    the sum written out.  Raises ValueError at the first step whose state is not finite
+    (its product with zeros is NaN, not 0), as when dt is too large for the field."""
+    steps = np.diff(times)
+    path = np.resize(z, (len(times), *z.shape))  # every row starts as z
+    slopes, stage = np.empty((4, *z.shape)), np.empty_like(z)
+    flat, flat_slopes = path.reshape(len(times), -1), slopes.reshape(4, -1)
+    weights, zeros = np.outer(steps / 6.0, (1.0, 2.0, 2.0, 1.0)), np.zeros(z.size)
+    for i, h in enumerate(steps.tolist()):
+        z = path[i]
+        field(z, slopes[0])
+        for k, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
+            field(np.add(np.multiply(slopes[k - 1], c, out=stage), z, out=stage), slopes[k])
+        np.dot(weights[i], flat_slopes, out=flat[i + 1])
+        flat[i + 1] += flat[i]
+        if zeros.dot(flat[i + 1]) != 0.0:
             raise ValueError("integrated state is no longer finite; reduce dt")
-        states.append(z)
-    return states
+    return path
 
 
 def flow_integrated(s0, config: FlowConfig) -> Trajectory:
@@ -317,15 +329,16 @@ def flow_integrated(s0, config: FlowConfig) -> Trajectory:
     eigenbasis of the stage before.
     """
     times = time_grid(config.t_final, config.dt)
-    states = _rk4(_field(config.g), as_symmetric(s0), times)
-    return trusted(Trajectory, times=times, states=states)
+    s0 = as_symmetric(s0)
+    path = _rk4(_field(config.g, len(s0)), s0, times)
+    return trusted(Trajectory, times=times, states=list(path))
 
 
 def particle_flow(state0: TodaState, t_final: float, dt: float) -> ParticleTrajectory:
     """Classical RK4 on Hamilton's equations, recording every step."""
     times = time_grid(t_final, dt)
-    zs = _rk4(_hamilton_field, np.vstack([state0.x, state0.y]), times)
-    states = [trusted(TodaState, x=z[0].copy(), y=z[1].copy()) for z in zs]
+    path = _rk4(_hamilton_field(state0.n), np.vstack([state0.x, state0.y]), times)
+    states = [trusted(TodaState, x=x.copy(), y=y.copy()) for x, y in path]
     return trusted(ParticleTrajectory, times=times, states=states)
 
 

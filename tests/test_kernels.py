@@ -110,6 +110,16 @@ def test_skew_part_mask_is_shared_read_only_and_never_returned():
     assert not np.shares_memory(got, mask)
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_skew_signs_split_a_symmetric_matrix_like_skew_part(n):
+    # the Lax field's one-multiply split; equal up to the signs of zeros
+    a = np.random.default_rng(n).normal(size=(n, n))
+    a = 0.5 * (a + a.T)
+    signs = kernels.skew_signs(n)
+    assert signs is kernels.skew_signs(n) and not signs.flags.writeable
+    assert np.array_equal(a * signs, kernels.skew_part(a))
+
+
 @pytest.fixture
 def sweeps(monkeypatch):
     """[warm, rotation sweeps] of each eigensolve, in call order."""
@@ -154,3 +164,17 @@ def test_pass_cap_bounds_cayley_steps(sweeps, monkeypatch):
     with pytest.raises(ArithmeticError):
         kernels.jacobi_eigensystem(a, start)
     assert sweeps[-1] == [True, 0]  # its one pass was a Cayley step, not enough
+
+
+def test_warm_start_restores_an_orthogonal_start():
+    # a start 1e-6 off orthogonal: the Newton-Schulz step leaves about 1e-11
+    # of that in the eigenvalues and the basis; started from it unpolished,
+    # both come back about 1e-6 off
+    rng = default_rng(661)
+    for _ in range(50):
+        n = int(rng.integers(3, 9))
+        a = random_symmetric(n, rng)
+        lam, q = kernels.jacobi_eigensystem(a)
+        warm_lam, warm_q = kernels.jacobi_unordered(a, q + 1e-6 * rng.normal(size=(n, n)))
+        assert np.abs(np.sort(warm_lam)[::-1] - lam).max() <= 1e-9 * kernels.frobenius(a)
+        assert np.abs(warm_q @ warm_q.T - np.eye(n)).max() <= 1e-9

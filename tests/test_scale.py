@@ -15,12 +15,16 @@ from hypothesis import strategies as st
 
 from matslice import (
     bfr_map,
+    default_rng,
     descending_spectrum,
     eigensystem,
     frobenius,
+    moser_coordinates,
+    moser_reconstruct,
     offdiag_norm,
     qr_factor,
     qr_step,
+    random_jacobi,
     random_with_spectrum,
     slice_point,
     spectral_decompose,
@@ -85,6 +89,23 @@ def test_power_of_two_scaling_is_exact(k):
     assert np.array_equal(qf_k, qf)
     assert np.array_equal(rf_k, np.ldexp(rf, k))
     assert np.array_equal(qr_step(big), np.ldexp(qr_step(s), k))
+
+
+@pytest.mark.parametrize("c", [2.0 ** -500, 1e-13, 1e150], ids=["2^-500", "1e-13", "1e150"])
+def test_moser_round_trip_at_any_scale(c):
+    # an absolute 1e-12 Lanczos breakdown threshold refused 1e-13 * J at its
+    # first off-diagonal (6.8e-14) and every smaller multiple
+    j = random_jacobi(5, default_rng(1))
+    coords = moser_coordinates(c * j)
+    back = moser_reconstruct(coords.lam, coords.w)
+    npt.assert_allclose(back / c, j, rtol=0.0, atol=1e-14 * frobenius(j))
+
+
+@pytest.mark.parametrize("k", [-500, -43, 497])
+def test_moser_reconstruct_scales_exactly_by_powers_of_two(k):
+    coords = moser_coordinates(random_jacobi(5, default_rng(1)))
+    want = np.ldexp(moser_reconstruct(coords.lam, coords.w), k)
+    assert np.array_equal(moser_reconstruct(np.ldexp(coords.lam, k), coords.w), want)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -17,6 +17,7 @@ from matslice import (
     apply_function,
     commutator,
     convergence_diagnostics,
+    descending_spectrum,
     detect_clusters,
     flaschka,
     flow_factorized,
@@ -409,6 +410,60 @@ def test_diverging_integration_raises():
         with pytest.raises(ValueError):
             particle_flow(TodaState(x=np.array([0.0, 2.0, -1.0]),
                                     y=np.array([5.0, 0.0, -5.0])), 20.0, 2.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["+inf", "-inf", "nan"])
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", [(2, 5), (5, 5)], ids=["particles", "matrix"])
+def test_rk4_raises_at_the_first_non_finite_step(shape, stage, bad):
+    # the slope of one stage of step 7 gets one non-finite entry: the step's
+    # state is the first that is not finite, and no later field call is made
+    calls = []
+
+    def field(z, out):
+        calls.append(len(calls) + 1)
+        out[...] = 0.25
+        if len(calls) == 4 * 6 + stage:
+            out[-1, 1] = bad
+        return out
+
+    with np.errstate(invalid="ignore"):  # 0 * inf, as a diverging flow also meets
+        with pytest.raises(ValueError, match="no longer finite"):
+            toda._rk4(field, np.ones(shape), time_grid(1.0, 0.05))
+    assert len(calls) == 4 * 7
+
+
+def textbook_rk4(field, z, times):
+    """RK4 written out, one new array per stage: the reference for ``toda._rk4``."""
+    states = [z]
+    for h in np.diff(times):
+        k1 = field(z)
+        k2 = field(z + 0.5 * h * k1)
+        k3 = field(z + 0.5 * h * k2)
+        k4 = field(z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(z)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_rk4_matches_the_textbook_loop(n):
+    # the one-product step rounds differently from the sum written out, so
+    # the two loops agree to roundoff, not bitwise; each runs its own field
+    rng = np.random.default_rng(653 + n)
+    j = random_jacobi(n, rng, spectrum=descending_spectrum(n, rng, lo=0.5, hi=3.0, min_gap=0.02))
+    times = time_grid(0.4, 0.002)  # 200 steps
+    for g in FIELD_ROUTES:
+        field = toda._field(g, n)
+        want = textbook_rk4(lambda s: field(s, np.empty_like(s)), j, times)
+        got = np.array(flow_integrated(j, FlowConfig(g=g, t_final=0.4, dt=0.002)).states)
+        assert maxabs(got - want) <= 1e-14 * maxabs(want)
+    state = inverse_flaschka(j)
+    hamilton = toda._hamilton_field(n)
+    want = textbook_rk4(lambda z: hamilton(z, np.empty_like(z)),
+                        np.vstack([state.x, state.y]), times)
+    got = np.array([[s.x, s.y] for s in particle_flow(state, 0.4, 0.002).states])
+    assert maxabs(got - want) <= 1e-14 * maxabs(want)
 
 
 # --------------------------------------------------------- particle dynamics
