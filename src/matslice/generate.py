@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from . import kernels
 from .jacobi import moser_reconstruct
 from .linalg import as_vector, eigensystem, qr_factor, symmetrize
 
@@ -22,13 +23,21 @@ def default_rng(seed=None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _check_size(n: int):
+    """Refuse, before any draw, a size that every other function refuses."""
+    if n < 2:
+        raise ValueError(f"size n must be at least 2, got {n}")
+
+
 def random_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
     """Symmetrized Gaussian matrix."""
+    _check_size(n)
     return symmetrize(rng.normal(size=(n, n)))
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Orthogonal QR factor of a Gaussian matrix (positive diagonal gauge)."""
+    _check_size(n)
     q, _ = qr_factor(rng.normal(size=(n, n)))
     return q
 
@@ -41,6 +50,7 @@ def descending_spectrum(
     min_gap: float = 0.25,
 ) -> np.ndarray:
     """Strictly descending values in [lo, hi] with every gap >= min_gap."""
+    _check_size(n)
     if not all(map(math.isfinite, (lo, hi, min_gap))):
         raise ValueError("lo, hi and min_gap must be finite")
     if n * min_gap >= hi - lo:
@@ -55,8 +65,6 @@ def descending_spectrum(
 def random_with_spectrum(lam, rng: np.random.Generator) -> np.ndarray:
     """Symmetric matrix with the prescribed spectrum, random eigenbasis."""
     lam = as_vector(lam, "spectrum")
-    if len(lam) < 2:
-        raise ValueError("spectrum must have at least two values")
     q = random_orthogonal(len(lam), rng)
     return symmetrize((q.T * lam) @ q)
 
@@ -64,6 +72,7 @@ def random_with_spectrum(lam, rng: np.random.Generator) -> np.ndarray:
 def random_jacobi(n: int, rng: np.random.Generator, spectrum=None) -> np.ndarray:
     """Random Jacobi matrix; with a spectrum given, random positive weights
     feed the inverse construction so the result has exactly that spectrum."""
+    _check_size(n)
     if spectrum is not None:
         lam = np.asarray(spectrum, dtype=float)
         if len(lam) != n:
@@ -71,13 +80,7 @@ def random_jacobi(n: int, rng: np.random.Generator, spectrum=None) -> np.ndarray
         w = 0.2 + rng.uniform(size=n)
         w /= np.linalg.norm(w)
         return moser_reconstruct(lam, w)
-    diag = rng.normal(size=n)
-    off = rng.uniform(0.3, 1.2, size=n - 1)
-    j = np.diag(diag)
-    idx = np.arange(n - 1)
-    j[idx, idx + 1] = off
-    j[idx + 1, idx] = off
-    return j
+    return kernels.tridiagonal(rng.normal(size=n), rng.uniform(0.3, 1.2, size=n - 1))
 
 
 def random_invertible_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -92,7 +92,7 @@ def moser_reconstruct(lam, w) -> np.ndarray:
     falls below 1e-12 * 2^e.  MoserCoordinates validates and normalizes.
     """
     coords = MoserCoordinates(lam=lam, w=w)
-    e = int(np.frexp(np.abs(coords.lam).max())[1])
+    e = kernels.binade(coords.lam)
     lam, w = np.ldexp(coords.lam, -e), coords.w
     n = len(lam)
     if float(w.min()) < WEIGHT_FLOOR:
@@ -124,8 +124,4 @@ def moser_reconstruct(lam, w) -> np.ndarray:
             )
         betas[k] = beta
         vec = resid / beta
-    out = np.diag(alphas)
-    idx = np.arange(n - 1)
-    out[idx, idx + 1] = betas
-    out[idx + 1, idx] = betas
-    return np.ldexp(out, e)
+    return np.ldexp(kernels.tridiagonal(alphas, betas), e)

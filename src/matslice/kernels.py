@@ -7,9 +7,11 @@ iteration is one of the objects under study: Jacobi rotation sweeps, finished
 by Cayley steps once the iterate is diagonally dominant.  Its core,
 ``jacobi_unordered``, leaves the eigensystem in the order its passes give;
 ``jacobi_eigensystem`` sorts it and fixes the signs.  QR is LAPACK's.  Both
-divide their input by a power of two of its largest entry (exact) and scale
-the result back, and the norms do the same at extreme scales, so results do
-not depend on the input's scale.  Imports nothing of matslice but ``errors``.
+divide their input by 2^``binade`` of it (exact) and scale the result back,
+and the norms do the same at extreme scales, so results do not depend on the
+input's scale.  The skew split has two independent builders, ``skew_part``
+(``np.tril``) and the Lax field's sign matrix ``skew_signs``; ``tridiagonal``
+builds every band matrix.  Imports nothing of matslice but ``errors``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ _MAX_SWEEPS = 50             # passes (sweeps or Cayley steps) before giving up
 _SIGN_PICK_TOL = 1e-12       # "first nonzero" cutoff for the eigenvector sign fix
 
 
-def _binade(a: np.ndarray) -> int:
+def binade(a: np.ndarray) -> int:
     """Exponent e with max|a| in [2^(e-1), 2^e), 0 for all zeros: dividing by
     2^e is exact and brings the entries to at most 1, where their squares
     neither overflow nor, for the entries that matter, underflow."""
@@ -48,7 +50,7 @@ def frobenius(m) -> float:
     norm is taken of m divided by a power of two and scaled back.
     """
     a = np.asarray(m, dtype=float)
-    e = _binade(a)
+    e = binade(a)
     if -200 <= e <= 500:
         return float(np.linalg.norm(a))
     return math.ldexp(float(np.linalg.norm(np.ldexp(a, -e))), e)
@@ -68,7 +70,7 @@ def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2^e just above max|a|: no column norm overflows, and LAPACK's scale-safe
     reflector norms keep faint columns (entries near 1e-246) from underflowing.
     """
-    e = _binade(a)
+    e = binade(a)
     q, r = np.linalg.qr(np.ldexp(a, -e))
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return q * signs, np.ldexp(signs[:, None] * r, e)
@@ -170,7 +172,7 @@ def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
     """
     n = a.shape[0]
     eye, _, rows, cols, off = solver_layout(n)
-    e = _binade(a)
+    e = binade(a)
     a = np.ldexp(a, -e)
     if start is None:
         v = eye.copy()  # the cached identity is shared and read-only
@@ -231,14 +233,6 @@ def simple_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def strict_lower(n: int) -> np.ndarray:
-    """Read-only boolean mask of the entries below the diagonal, built on first use."""
-    mask = np.tri(n, k=-1, dtype=bool)
-    mask.flags.writeable = False  # shared by every caller through the cache
-    return mask
-
-
-@functools.cache
 def skew_signs(n: int) -> np.ndarray:
     """Read-only signs of the skew split: +1 below the diagonal, -1 above, 0 on it."""
     signs = np.tri(n, k=-1) - np.tri(n, k=-1).T
@@ -248,10 +242,17 @@ def skew_signs(n: int) -> np.ndarray:
 
 def skew_part(a: np.ndarray) -> np.ndarray:
     """Skew part of the unique skew + upper-triangular splitting: below the
-    diagonal a, above its negated mirror, zero diagonal; exact.  The cached
-    ``strict_lower`` mask selects bitwise ``np.tril(a, -1)``."""
-    lower = np.where(strict_lower(a.shape[0]), a, 0.0)
+    diagonal a, above its negated mirror, zero diagonal; exact.  Built from
+    ``np.tril``, independently of ``skew_signs``, the Lax field's split."""
+    lower = np.tril(a, -1)
     return lower - lower.T
+
+
+def tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Symmetric tridiagonal matrix with diagonal d and off-diagonals e."""
+    t, n = np.diag(d), len(d)
+    t.flat[1::n + 1] = t.flat[n::n + 1] = e  # above, then below the diagonal
+    return t
 
 
 def is_tridiagonal(a: np.ndarray) -> bool:

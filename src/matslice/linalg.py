@@ -227,9 +227,8 @@ def function_values(f: SpectralFunction, lam) -> np.ndarray:
 def apply_function(s, f: SpectralFunction) -> np.ndarray:
     """``f(s)`` for symmetric ``s``: conjugate ``diag(f(lam))`` back from the eigenbasis.
 
-    The identity kind returns the (symmetrized) input unchanged -- exact, and
-    the hot path for integrated Toda flows.  Raises DomainViolation when the
-    spectrum leaves the domain of ``f``.
+    The identity kind returns the (symmetrized) input unchanged, exactly.
+    Raises DomainViolation when the spectrum leaves the domain of ``f``.
     """
     a = as_symmetric(s)
     if f.kind == "identity":

@@ -129,14 +129,8 @@ def hamiltonian(state: TodaState) -> float:
 
 def flaschka(state: TodaState) -> np.ndarray:
     """Jacobi matrix of a particle state: diag -y/2, superdiag exp(gap/2)/2."""
-    x, y = state.x, state.y
-    n = state.n
-    j = np.diag(-0.5 * y)
-    off = 0.5 * np.exp(0.5 * (x[:-1] - x[1:]))
-    idx = np.arange(n - 1)
-    j[idx, idx + 1] = off
-    j[idx + 1, idx] = off
-    return j
+    x = state.x
+    return kernels.tridiagonal(-0.5 * state.y, 0.5 * np.exp(0.5 * (x[:-1] - x[1:])))
 
 
 def inverse_flaschka(j) -> TodaState:
@@ -186,33 +180,32 @@ def _field(g: SpectralFunction, n: int):
     """The Lax field of g on n x n validated, exactly symmetric arrays, as
     ``field(a, out)``: [a, b] = c + c.T for skew b and c = a @ b, as
     (a b).T = -b a for symmetric a: one product, exactly symmetric.  b is
-    g(a) * kernels.skew_signs(n), which is skew_part(g(a)) for exactly
-    symmetric g(a) up to the signs of zeros, and off by g(a)'s roundoff
-    asymmetry when Horner evaluates a polynomial g (``polynomial``, or
-    ``power`` with a nonnegative integer exponent) with no eigensolve.  For
-    every other g each eigensolve starts from the eigenbasis of the call
-    before: successive RK4 stages differ by O(dt), so the eigenvectors of
-    one nearly diagonalize the next and the eigensolver finishes by Cayley
-    steps.  The chain runs on the solver's unordered core: q.T diag(g(lam)) q
-    ignores the order and signs of q's rows, and the warm start takes any
-    orthogonal rows, so sorting and sign fixing would be wasted.
+    g(a) * kernels.skew_signs(n), skew_part(g(a)) up to the signs of zeros
+    and g(a)'s roundoff asymmetry; sigma's zero diagonal drops g(0).  So a
+    polynomial g (identity, nonnegative integer powers, ``polynomial``) goes
+    by Horner on (g(x) - g(0)) / x times a, with no eigensolve: from c_k a,
+    one diagonal shift (none for a zero coefficient) and one product by a per
+    lower coefficient; constant g gives 0.  Every other g warm-starts each
+    eigensolve on the solver's unordered core (q.T diag(g(lam)) q ignores the
+    order and signs of q's rows) from the eigenbasis of the call before: RK4
+    stages differ by O(dt), so the eigensolver finishes by Cayley steps.
     """
-    sigma = kernels.skew_signs(n)
+    sigma, eye = kernels.skew_signs(n), kernels.solver_layout(n)[0]
 
     def lax(a: np.ndarray, ga: np.ndarray, out: np.ndarray):
         c = a @ (ga * sigma)
         return np.add(c, c.T, out=out)
 
-    if g.kind == "identity":
-        return lambda a, out: lax(a, a, out)
-    if g.kind in ("polynomial", "power") and not (g.requires_positive or g.requires_nonzero):
-        coeffs = g.coeffs or ((0.0,) * int(g.exponent) + (1.0,))
+    coeffs = {"identity": (0.0, 1.0), "polynomial": g.coeffs}.get(g.kind)
+    if g.kind == "power" and not (g.requires_positive or g.requires_nonzero):
+        coeffs = (0.0,) * int(g.exponent) + (1.0,)
+    if coeffs is not None:
+        lead, *lower = (coeffs[1:] or (0.0,))[::-1]  # c_k, then c_(k-1) .. c_1
 
         def horner(a: np.ndarray, out: np.ndarray):
-            ga = np.diag(np.full(n, coeffs[-1]))
-            for c in reversed(coeffs[:-1]):
-                ga = ga @ a
-                ga.flat[::n + 1] += c
+            ga = a if lead == 1.0 else lead * a
+            for c in lower:
+                ga = (ga + c * eye if c else ga) @ a
             return lax(a, ga, out)
 
         return horner
@@ -324,9 +317,8 @@ def flow_integrated(s0, config: FlowConfig) -> Trajectory:
     """Classical RK4 on the Lax field, recording every step.
 
     The field is exactly symmetric (c + c.T), so every state stays exactly symmetric.
-    A polynomial g is evaluated by Horner, with no eigensolve; for log, exp
-    and the other powers each stage's eigensolve is warm-started from the
-    eigenbasis of the stage before.
+    A polynomial g is evaluated by Horner, with no eigensolve; every other g
+    warm-starts each stage's eigensolve from the eigenbasis of the stage before.
     """
     times = time_grid(config.t_final, config.dt)
     s0 = as_symmetric(s0)

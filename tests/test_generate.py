@@ -9,7 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from matslice import descending_spectrum
+from matslice import (
+    descending_spectrum,
+    random_invertible_symmetric,
+    random_jacobi,
+    random_orthogonal,
+    random_symmetric,
+)
 
 
 @pytest.mark.parametrize("bad", [{"lo": math.nan}, {"hi": math.inf},
@@ -19,4 +25,26 @@ def test_descending_spectrum_refuses_non_finite_bounds_before_drawing(bad):
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError, match="finite"):
         descending_spectrum(4, rng, **bad)
+    assert rng.uniform() == np.random.default_rng(3).uniform()
+
+
+SIZED = {
+    "random_symmetric": random_symmetric,
+    "random_orthogonal": random_orthogonal,
+    "random_invertible_symmetric": random_invertible_symmetric,
+    "descending_spectrum": descending_spectrum,
+    "random_jacobi": random_jacobi,
+    "random_jacobi spectrum": lambda n, rng: random_jacobi(n, rng, spectrum=[2.0] * max(n, 0)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+@pytest.mark.parametrize("name", SIZED)
+def test_generators_refuse_sizes_below_two_before_drawing(name, n):
+    # random_jacobi(1) and random_symmetric(1) gave 1x1 matrices that as_square
+    # refuses, descending_spectrum(1) one value, random_jacobi(0) numpy's
+    # "negative dimensions are not allowed"
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError, match="at least 2"):
+        SIZED[name](n, rng)
     assert rng.uniform() == np.random.default_rng(3).uniform()

@@ -20,6 +20,7 @@ from matslice import (
     descending_spectrum,
     flow_integrated,
     kernels,
+    polytope,
     random_jacobi,
     random_symmetric,
 )
@@ -100,14 +101,24 @@ def test_skew_part_is_the_strict_lower_triangle_mirrored(kind, n):
     assert got.tobytes() == want.tobytes()
 
 
-def test_skew_part_mask_is_shared_read_only_and_never_returned():
-    mask = kernels.strict_lower(5)
-    assert mask is kernels.strict_lower(5)
-    with pytest.raises(ValueError):
-        mask[1, 0] = False
-    got = kernels.skew_part(np.ones((5, 5)))
-    assert got.flags.writeable
-    assert not np.shares_memory(got, mask)
+# every per-size table shared through functools.cache: (builder, its arrays)
+CACHED_TABLES = {
+    "round_robin": (kernels.round_robin, lambda rounds: [x for r in rounds for x in r]),
+    "solver_layout": (kernels.solver_layout, list),
+    "skew_signs": (kernels.skew_signs, lambda x: [x]),
+    "polytope._sum_rows": (polytope._sum_rows, lambda x: [x]),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("name", CACHED_TABLES)
+def test_cached_tables_are_shared_and_read_only(name, n):
+    build, arrays = CACHED_TABLES[name]
+    table = build(n)
+    assert build(n) is table
+    for x in arrays(table):
+        with pytest.raises(ValueError, match="read-only"):
+            x.flat[0] = x.flat[0]
 
 
 @pytest.mark.parametrize("n", range(2, 10))

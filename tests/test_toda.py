@@ -159,7 +159,8 @@ def test_identity_field_matches_the_commutator(kind, n):
     assert maxabs(toda_field(s, IDENTITY) - want) <= 1e-14 * frobenius(s) ** 2
 
 
-# the three ways the field evaluates g: as is, by Horner, in the eigenbasis
+# the field's two routes: Horner, from s itself (identity) or with a product
+# (pow:2), and the eigenbasis (log)
 FIELD_ROUTES = [IDENTITY, SpectralFunction.power(2), SpectralFunction.log()]
 ROUTE_IDS = ["identity", "pow:2", "log"]
 
@@ -183,10 +184,16 @@ def test_integrated_flow_states_are_exactly_symmetric(g):
 # Polynomial g: the field evaluates g(s) by Horner on the matrix, while
 # apply_function goes through the eigenbasis.  (g, degree)
 POLYNOMIALS = [
+    (SpectralFunction.power(0), 0),
+    (SpectralFunction.power(1), 1),
     (SpectralFunction.power(2), 2),
     (SpectralFunction.power(3), 3),
+    (SpectralFunction.polynomial([2.0]), 0),
+    (SpectralFunction.polynomial([3.0, 0.0, 1.0]), 2),
+    (SpectralFunction.polynomial([0.0, -1.0]), 1),
     (SpectralFunction.polynomial([0.5, -1.0, 0.25, 2.0]), 3),
 ]
+CONSTANTS = [g for g, degree in POLYNOMIALS if degree == 0]
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -197,6 +204,18 @@ def test_horner_field_matches_the_eigenbasis_field(kind, n):
     for g, degree in POLYNOMIALS:
         want = commutator(s, skew_part(apply_function(s, g)))
         assert maxabs(toda_field(s, g) - want) < 1e-12 * frobenius(s) ** (degree + 1)
+
+
+@pytest.mark.parametrize("g", CONSTANTS, ids=["pow:0", "poly:2"])
+def test_constant_g_gives_the_zero_field(g):
+    # Horner runs on (g(x) - g(0)) / x, which is 0 here; starting from c_0 s
+    # instead would give c_0 times the identity's field
+    rng = np.random.default_rng(3)
+    for s in (random_jacobi(5, rng), random_symmetric(8, rng)):
+        assert np.all(toda_field(s, g) == 0.0)
+    s = random_jacobi(5, rng)
+    traj = flow_integrated(s, FlowConfig(g=g, t_final=0.1, dt=0.01))
+    assert len(traj) == 11 and all(np.array_equal(state, s) for state in traj.states)
 
 
 @pytest.fixture
