@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .jacobi import moser_reconstruct
+from .jacobi import MoserCoordinates, moser_reconstruct
 from .linalg import as_vector, eigensystem, qr_factor, symmetrize
 
 _GAP_FLOOR = 1e-3
@@ -71,12 +71,12 @@ def random_with_spectrum(lam, rng: np.random.Generator) -> np.ndarray:
 
 def random_jacobi(n: int, rng: np.random.Generator, spectrum=None) -> np.ndarray:
     """Random Jacobi matrix; with a spectrum given, random positive weights
-    feed the inverse construction so the result has exactly that spectrum."""
+    feed the inverse construction so the result has exactly that spectrum.
+    The spectrum (length n, finite, strictly descending with the gaps
+    ``MoserCoordinates`` requires) is checked before any draw."""
     _check_size(n)
     if spectrum is not None:
-        lam = np.asarray(spectrum, dtype=float)
-        if len(lam) != n:
-            raise ValueError("spectrum length must match n")
+        lam = MoserCoordinates(as_vector(spectrum, "spectrum", n), np.ones(n)).lam
         w = 0.2 + rng.uniform(size=n)
         w /= np.linalg.norm(w)
         return moser_reconstruct(lam, w)

@@ -6,12 +6,15 @@ a symmetric matrix.  The eigensolver is deliberately *not* QR-based, since QR
 iteration is one of the objects under study: Jacobi rotation sweeps, finished
 by Cayley steps once the iterate is diagonally dominant.  Its core,
 ``jacobi_unordered``, leaves the eigensystem in the order its passes give;
-``jacobi_eigensystem`` sorts it and fixes the signs.  QR is LAPACK's.  Both
-divide their input by 2^``binade`` of it (exact) and scale the result back,
-and the norms do the same at extreme scales, so results do not depend on the
-input's scale.  The skew split has two independent builders, ``skew_part``
-(``np.tril``) and the Lax field's sign matrix ``skew_signs``; ``tridiagonal``
-builds every band matrix.  Imports nothing of matslice but ``errors``.
+``jacobi_eigensystem`` sorts it and fixes the signs.  Cold solves are
+memoized by the exact bytes of the matrix, for the 8 most recent matrices per
+process, so repeated calls on one matrix return bitwise-identical results;
+warm starts bypass the memo.  QR is LAPACK's.  Both divide their input by
+2^``binade`` of it (exact) and scale the result back, and the norms do the
+same at extreme scales, so results do not depend on the input's scale.  The
+skew split has two independent builders, ``skew_part`` (``np.tril``) and
+the Lax field's sign matrix ``skew_signs``; ``tridiagonal`` builds every band
+matrix.  Imports nothing of matslice but ``errors``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ SIMPLE_SPECTRUM_RTOL = 1e-9  # minimum eigenvalue gap counted as "simple"
 TRIDIAG_RTOL = 1e-12         # band check tolerance, relative to ||s||
 IRREDUCIBLE_RTOL = 1e-12     # off-diagonal coupling threshold for the adjacency graph
 CAYLEY_GATE = 0.25           # off-diagonal norm / smallest diagonal gap that admits a Cayley step
+COLD_MEMO_SIZE = 8           # most recent cold eigensystems kept per process
 _MAX_SWEEPS = 50             # passes (sweeps or Cayley steps) before giving up
 _SIGN_PICK_TOL = 1e-12       # "first nonzero" cutoff for the eigenvector sign fix
 
@@ -205,11 +209,32 @@ def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
     return np.ldexp(a.diagonal(), e), v.T
 
 
+@functools.lru_cache(maxsize=COLD_MEMO_SIZE)
+def _cold_unordered(n: int, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``jacobi_unordered`` of the n x n matrix whose bytes are data."""
+    result = jacobi_unordered(np.frombuffer(data).reshape(n, n))
+    for x in result:
+        x.flags.writeable = False  # shared by every caller through the cache
+    return result
+
+
+def unordered_eigensystem(a: np.ndarray, start: np.ndarray | None = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """``jacobi_unordered`` behind a memo of the ``COLD_MEMO_SIZE`` most recent
+    cold solves, keyed by the exact bytes of a: the solver is deterministic,
+    so a hit (read-only arrays) is bitwise a fresh solve.  A warm start
+    neither reads nor fills the memo."""
+    if start is None:
+        return _cold_unordered(len(a), a.tobytes())
+    return jacobi_unordered(a, start)
+
+
 def jacobi_eigensystem(a: np.ndarray, start: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """``jacobi_unordered`` laid out as ``linalg.eigensystem`` documents: lam
-    descending (stable sort), each row's first entry above 1e-12 made positive."""
-    lam, q = jacobi_unordered(a, start)
+    """``unordered_eigensystem`` laid out as ``linalg.eigensystem`` documents:
+    new arrays, lam descending (stable sort), each row's first entry above
+    1e-12 made positive."""
+    lam, q = unordered_eigensystem(a, start)
     order = (-lam).argsort(kind="stable")
     q = q.T[:, order].T
     first = (np.abs(q) > _SIGN_PICK_TOL).argmax(axis=1)

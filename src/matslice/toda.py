@@ -187,8 +187,9 @@ def _field(g: SpectralFunction, n: int):
     one diagonal shift (none for a zero coefficient) and one product by a per
     lower coefficient; constant g gives 0.  Every other g warm-starts each
     eigensolve on the solver's unordered core (q.T diag(g(lam)) q ignores the
-    order and signs of q's rows) from the eigenbasis of the call before: RK4
-    stages differ by O(dt), so the eigensolver finishes by Cayley steps.
+    order and signs of q's rows) from the eigenbasis of the call before (the
+    first solve is cold, through the memo): RK4 stages differ by O(dt), so
+    the eigensolver finishes by Cayley steps.
     """
     sigma, eye = kernels.skew_signs(n), kernels.solver_layout(n)[0]
 
@@ -213,7 +214,7 @@ def _field(g: SpectralFunction, n: int):
 
     def field(a: np.ndarray, out: np.ndarray):
         nonlocal basis
-        lam, basis = kernels.jacobi_unordered(a, basis)
+        lam, basis = kernels.unordered_eigensystem(a, basis)
         return lax(a, symmetrize((basis.T * function_values(g, lam)) @ basis), out)
 
     return field

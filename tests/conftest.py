@@ -6,8 +6,16 @@ evaluation for matrix functions, numpy's LAPACK wrappers for spectra.
 """
 
 import numpy as np
+import pytest
 
-from matslice import symmetrize
+from matslice import kernels, symmetrize
+
+
+@pytest.fixture(autouse=True)
+def cold_memo_cleared():
+    """Start every test with an empty memo of cold eigensolves, so a spy on
+    the eigensolver sees the same solves whatever ran before."""
+    kernels._cold_unordered.cache_clear()
 
 
 def maxabs(a) -> float:

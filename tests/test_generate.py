@@ -11,6 +11,7 @@ import pytest
 
 from matslice import (
     descending_spectrum,
+    moser_reconstruct,
     random_invertible_symmetric,
     random_jacobi,
     random_orthogonal,
@@ -48,3 +49,22 @@ def test_generators_refuse_sizes_below_two_before_drawing(name, n):
     with pytest.raises(ValueError, match="at least 2"):
         SIZED[name](n, rng)
     assert rng.uniform() == np.random.default_rng(3).uniform()
+
+
+@pytest.mark.parametrize("spectrum", [[math.nan, 1.0, 0.0], [3.0, math.inf, 0.0],
+                                      [1.0, 2.0, 3.0], [1.0, 1.0, 0.0], [3.0, 2.0]],
+                         ids=["nan", "inf", "ascending", "repeated", "short"])
+def test_random_jacobi_refuses_a_bad_spectrum_before_drawing(spectrum):
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError):
+        random_jacobi(3, rng, spectrum=spectrum)
+    assert rng.uniform() == np.random.default_rng(3).uniform()
+
+
+def test_random_jacobi_with_a_spectrum_draws_only_its_weights():
+    # the benchmark's task lists depend on this stream
+    rng, fresh = np.random.default_rng(5), np.random.default_rng(5)
+    j = random_jacobi(4, rng, spectrum=[4.0, 2.5, 1.0, -0.5])
+    w = 0.2 + fresh.uniform(size=4)
+    assert np.array_equal(j, moser_reconstruct([4.0, 2.5, 1.0, -0.5], w / np.linalg.norm(w)))
+    assert rng.uniform() == fresh.uniform()

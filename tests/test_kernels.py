@@ -18,11 +18,15 @@ from matslice import (
     SpectralFunction,
     default_rng,
     descending_spectrum,
+    eigensystem,
+    flow_factorized,
     flow_integrated,
     kernels,
+    moser_coordinates,
     polytope,
     random_jacobi,
     random_symmetric,
+    spectral_decompose,
 )
 
 KERNELS = Path(matslice.__file__).parent / "kernels.py"
@@ -189,3 +193,111 @@ def test_warm_start_restores_an_orthogonal_start():
         warm_lam, warm_q = kernels.jacobi_unordered(a, q + 1e-6 * rng.normal(size=(n, n)))
         assert np.abs(np.sort(warm_lam)[::-1] - lam).max() <= 1e-9 * kernels.frobenius(a)
         assert np.abs(warm_q @ warm_q.T - np.eye(n)).max() <= 1e-9
+
+
+# -- the memo of cold eigensolves ----------------------------------------------
+
+def benchmark_matrices():
+    """Jacobi matrices drawn as the flow-spectral (n = 4..6) and chart-cli
+    (n = 8..32, through the command line's seed) benchmarks draw them, seed 1."""
+    rng = default_rng(1)
+    for n in (4, 5, 6):
+        lam = descending_spectrum(n, rng, lo=0.5, hi=3.0, min_gap=0.25)
+        yield random_jacobi(n, rng, spectrum=lam)
+    for n in (8, 12, 16, 32):
+        lam = descending_spectrum(n, rng, lo=1.0, hi=1.0 + 0.5 * n, min_gap=0.05)
+        yield random_jacobi(n, default_rng(int(rng.integers(2**31))), spectrum=lam)
+
+
+def memo():
+    info = kernels._cold_unordered.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
+def as_bytes(arrays):
+    return [x.tobytes() for x in arrays]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_cold_memo_hit_is_bitwise_a_fresh_solve(case, sweeps):
+    a = list(benchmark_matrices())[case]
+    unordered = as_bytes(kernels.jacobi_unordered(a))  # the solver itself, no memo
+    kernels._cold_unordered.cache_clear()
+    missed = as_bytes(kernels.jacobi_eigensystem(a))
+    assert memo() == (0, 1, 1)
+    assert as_bytes(kernels.jacobi_eigensystem(a)) == missed
+    assert as_bytes(kernels.unordered_eigensystem(a)) == unordered
+    assert memo() == (2, 1, 1)
+    assert [warm for warm, _ in sweeps] == [False, False]  # the direct solve, the miss
+
+
+def test_cold_memo_arrays_are_read_only():
+    a = random_symmetric(5, default_rng(2))
+    lam, q = kernels.unordered_eigensystem(a)
+    assert kernels.unordered_eigensystem(a)[1] is q
+    for x in (lam, q):
+        with pytest.raises(ValueError, match="read-only"):
+            x.flat[0] = x.flat[0]
+
+
+def test_results_stay_writable_and_writing_them_changes_no_later_solve():
+    j = list(benchmark_matrices())[1]
+    want = as_bytes(eigensystem(j))
+    chart = moser_coordinates(j)
+    decomposition = spectral_decompose(j)
+    results = [*eigensystem(j), decomposition.lam, decomposition.q, chart.lam, chart.w,
+               flow_factorized(j, SpectralFunction.log(), 0.1)]
+    for x in results:
+        x *= -2.0  # raises for a read-only array
+    assert memo() == (4, 1, 1)
+    assert as_bytes(eigensystem(j)) == want
+
+
+def test_warm_solves_neither_read_nor_fill_the_memo(sweeps):
+    a = random_symmetric(6, default_rng(3))
+    _, near = kernels.jacobi_eigensystem(a + 1e-6 * random_symmetric(6, default_rng(4)))
+    before = memo()
+    kernels.jacobi_eigensystem(a, near)
+    kernels.unordered_eigensystem(a, near)
+    assert memo() == before == (0, 1, 1)
+    kernels.jacobi_eigensystem(a)  # now a is in the memo
+    kernels.unordered_eigensystem(a, near)
+    assert memo() == (0, 2, 2)
+    assert [warm for warm, _ in sweeps] == [False, True, True, False, True]
+
+
+def test_a_matrix_one_ulp_away_misses(sweeps):
+    a = random_symmetric(5, default_rng(5))
+    b = a.copy()
+    b[0, 1] = b[1, 0] = np.nextafter(a[0, 1], math.inf)
+    kernels.jacobi_eigensystem(a)
+    kernels.jacobi_eigensystem(b)
+    assert memo() == (0, 2, 2)
+    assert [warm for warm, _ in sweeps] == [False, False]
+
+
+def test_cold_memo_keeps_the_most_recent_matrices_only(sweeps):
+    rng = default_rng(7)
+    matrices = [random_symmetric(int(rng.integers(2, 9)), rng)
+                for _ in range(2 * kernels.COLD_MEMO_SIZE + 3)]
+    for a in matrices:
+        kernels.jacobi_eigensystem(a)
+        assert memo()[2] <= kernels.COLD_MEMO_SIZE
+    assert memo() == (0, len(matrices), kernels.COLD_MEMO_SIZE)
+    kernels.jacobi_eigensystem(matrices[-kernels.COLD_MEMO_SIZE])  # the oldest kept
+    kernels.jacobi_eigensystem(matrices[-kernels.COLD_MEMO_SIZE - 1])  # dropped
+    assert memo() == (1, len(matrices) + 1, kernels.COLD_MEMO_SIZE)
+    assert len(sweeps) == len(matrices) + 1
+
+
+def test_flow_spectral_task_runs_one_cold_solve(sweeps):
+    # a log flow_integrated and five flow_factorized samples on one S, as
+    # the flow-spectral benchmark checks them: every solve after the RK4
+    # flow's first is warm or a hit
+    s = list(benchmark_matrices())[1]
+    log = SpectralFunction.log()
+    traj = flow_integrated(s, FlowConfig(log, 0.16, 0.008))
+    for i in (4, 8, 12, 16, 20):
+        flow_factorized(s, log, float(traj.times[i]))
+    assert [warm for warm, _ in sweeps].count(False) == 1
+    assert memo() == (5, 1, 1)
