@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
+# LAPACK gesv: the gufunc np.linalg.solve calls after its per-call type checks
+from numpy.linalg._umath_linalg import solve as _gesv
 
 from .errors import DegenerateSpectrum, SingularMatrix
 
@@ -163,9 +166,9 @@ def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
     ``1e-13 * ||a||``, at most 50 passes.  A pass is one rotation sweep,
     unless the off-diagonal norm is at most 1/4 of the smallest gap between
     diagonal entries: then it is one Cayley step a <- w a w.T, v <- v w.T,
-    w = (I - k/2)^-1 (I + k/2) by LU, with the exactly antisymmetric
-    k_ij = a_ij / (a_ii - a_jj) = -k_ji (i < j) built from the upper
-    triangle.  ||k|| <= 1/4 then, and the step leaves an off-diagonal of
+    w = (I - k/2)^-1 (I + k/2) by LAPACK's LU, with the exactly
+    antisymmetric k_ij = a_ij / (a_ii - a_jj) = -k_ji (i < j) built from the
+    upper triangle.  ||k|| <= 1/4 then, and the step leaves an off-diagonal of
     order ||off||^2 / gap (quadratic convergence, as in eigenvector
     refinement from an approximate basis).  ``start``, an orthogonal matrix
     whose rows nearly diagonalize ``a`` in any order and with any signs (the
@@ -185,22 +188,22 @@ def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
         a = symmetrize(u @ a @ u.T)
         v = u.T.copy()
     m = len(rows)
-    upper = off[:m]
+    upper, lower = off[:m], off[m:]
+    plus = eye.copy()  # I + k/2 of each Cayley step; its transpose is I - k/2
     # max|a| < 1 now, so the plain norm is safe (in any order: a is symmetric)
-    tol2 = (JACOBI_SWEEP_RTOL * math.sqrt((flat := a.ravel()) @ flat)) ** 2
+    tol2 = (JACOBI_SWEEP_RTOL * math.sqrt((flat := a.ravel()).dot(flat))) ** 2
     passes = 0
-    while (off2 := (x := a.take(off)) @ x) > tol2:
+    while (off2 := (x := a.take(off)).dot(x)) > tol2:
         if passes >= _MAX_SWEEPS:
             raise ArithmeticError("Jacobi eigensolver failed to converge")
         d = a.diagonal()
-        ranked = d.copy()
-        ranked.sort()
+        ranked = sorted(d.tolist())  # finite, so Python's min is numpy's, and quicker
         # off2 > 0 here, so the gate also refuses a zero gap
-        if off2 <= (CAYLEY_GATE * (ranked[1:] - ranked[:-1]).min()) ** 2:
-            half = np.zeros((n, n))  # k/2 above the diagonal
-            half.put(upper, 0.5 * x[:m] / (d[rows] - d[cols]))
-            plus = eye + half - half.T  # I + k/2; its transpose is I - k/2
-            w = np.linalg.solve(plus.T, plus)
+        if off2 <= (CAYLEY_GATE * min(map(operator.sub, ranked[1:], ranked[:-1]))) ** 2:
+            half = 0.5 * x[:m] / (d[rows] - d[cols])  # k/2 above the diagonal
+            plus.put(upper, 0.0 + half)  # the zero signs of eye + k/2 - k.T/2
+            plus.put(lower, 0.0 - half)
+            w = _gesv(plus.T, plus, signature="dd->d")  # np.linalg.solve, bitwise
             a = w @ a @ w.T
             v = v @ w.T
         else:

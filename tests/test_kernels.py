@@ -301,3 +301,60 @@ def test_flow_spectral_task_runs_one_cold_solve(sweeps):
         flow_factorized(s, log, float(traj.times[i]))
     assert [warm for warm, _ in sweeps].count(False) == 1
     assert memo() == (5, 1, 1)
+
+
+# -- the Cayley step's lean build ------------------------------------------------
+
+def reference_unordered(a, start=None):
+    """The eigensolver as written before its Cayley step was trimmed: a zero
+    matrix filled above the diagonal, I + k/2 as eye + half - half.T, numpy's
+    solve, ``@`` for the off-diagonal norm."""
+    n = a.shape[0]
+    eye, _, rows, cols, off = kernels.solver_layout(n)
+    e = kernels.binade(a)
+    a = np.ldexp(a, -e)
+    if start is None:
+        v = eye.copy()
+    else:
+        u = start - 0.5 * (start @ start.T - eye) @ start
+        a = kernels.symmetrize(u @ a @ u.T)
+        v = u.T.copy()
+    m = len(rows)
+    flat = a.ravel()
+    tol2 = (kernels.JACOBI_SWEEP_RTOL * math.sqrt(flat @ flat)) ** 2
+    while (off2 := (x := a.take(off)) @ x) > tol2:
+        d = a.diagonal()
+        ranked = np.sort(d)
+        if off2 <= (kernels.CAYLEY_GATE * (ranked[1:] - ranked[:-1]).min()) ** 2:
+            half = np.zeros((n, n))
+            half.put(off[:m], 0.5 * x[:m] / (d[rows] - d[cols]))
+            plus = eye + half - half.T
+            w = np.linalg.solve(plus.T, plus)
+            a = w @ a @ w.T
+            v = v @ w.T
+        else:
+            a, v = kernels._sweep(a, v, eye)
+    return np.ldexp(a.diagonal(), e), v.T
+
+
+def test_cold_and_warm_solves_are_bitwise_the_reference():
+    # every benchmark matrix cold, and the warm chain of a log flow on the
+    # flow-spectral ones, stage by stage as the RK4 field solves them
+    log = SpectralFunction.log()
+    for s in benchmark_matrices():
+        assert as_bytes(kernels.jacobi_unordered(s)) == as_bytes(reference_unordered(s))
+        if len(s) > 6:
+            continue
+        stages, field = [], kernels.unordered_eigensystem
+
+        def recording(a, start=None):
+            stages.append((a.copy(), None if start is None else start.copy()))
+            return field(a, start)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "unordered_eigensystem", recording)
+            flow_integrated(s, FlowConfig(log, 0.16, 0.008))
+        assert len(stages) == 80 and all(start is not None for _, start in stages[1:])
+        for a, start in stages:
+            assert as_bytes(kernels.jacobi_unordered(a, start)) == \
+                as_bytes(reference_unordered(a, start))
