@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch, DomainViolation
+from .errors import DimensionMismatch
 from .kernels import frobenius, symmetrize
 
 
@@ -207,21 +207,8 @@ class SpectralFunction:
 
 
 def function_values(f: SpectralFunction, lam) -> np.ndarray:
-    """Evaluate ``f`` on a spectrum after enforcing its domain requirements.
-
-    For functions needing a nonzero spectrum, an eigenvalue at or below
-    ``1e-12 * ||lam||`` counts as zero.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if f.requires_positive and float(lam.min()) <= 0.0:
-        raise DomainViolation(
-            f"{f.kind} requires a strictly positive spectrum; "
-            f"smallest eigenvalue is {float(lam.min()):.6g}"
-        )
-    if (f.requires_nonzero and float(np.min(np.abs(lam)))
-            <= kernels.SINGULAR_RTOL * frobenius(lam)):
-        raise DomainViolation("negative powers require an invertible argument")
-    return np.asarray(f(lam), dtype=float)
+    """Evaluate ``f`` on a spectrum inside its domain; see ``kernels.in_domain``."""
+    return np.asarray(f(kernels.in_domain(f, lam)), dtype=float)
 
 
 def apply_function(s, f: SpectralFunction) -> np.ndarray:

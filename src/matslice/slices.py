@@ -2,12 +2,12 @@
 
 A slice here is the set of symmetric matrices reachable from a starting point
 by conjugating with the orthogonal factor of f(S) for functions f that do not
-vanish on the spectrum.  In the eigenbasis that is one operation,
-``weighted_conjugate``: one QR step (factor, swap, multiply) is the f(x) = x
-case, general f gives ``functional_step``, positive weights give
-``slice_point``, and exp(t g) gives the Toda/Lax flows of ``toda``.  The k-th
-root gives fractional steps whose rescaled differences converge to the
-interpolating vector field [S, skew_part(log S)].
+vanish on the spectrum.  In the eigenbasis that is one operation on
+log-weights, ``weighted_conjugate``, which alone shifts and refuses them:
+log|f| gives ``functional_step`` (f(x) = x is one QR step), log w
+``slice_point`` and t g the Toda/Lax flows of ``toda``.  The k-th root gives
+fractional steps whose rescaled differences converge to the interpolating
+vector field [S, skew_part(log S)].
 """
 
 from __future__ import annotations
@@ -69,27 +69,23 @@ def trusted(cls, **fields):
     return obj
 
 
-def weighted_conjugate(lam, q, w) -> np.ndarray:
-    """Q.T diag(lam) Q, where Q is the orthogonal QR factor of diag(w) @ q.
+def weighted_conjugate(lam, q, u) -> np.ndarray:
+    """Q.T diag(lam) Q, where Q is the orthogonal QR factor of diag(exp(u)) @ q.
 
-    With s = q.T diag(lam) q (eigenvectors in the rows of q) this is s
-    conjugated by the orthogonal factor of q.T diag(w) q: the one operation
-    behind every slice move, with w = f(lam) for a functional step, the
-    weights of a slice point, or exp(t g(lam)) for a Lax flow at time t.
-    The signs of w drop out and only its ratios matter; w is divided by its
-    largest magnitude, which is exact under power-of-two scaling.  Raises
-    SingularMatrix when the smallest ratio is below e^-700, an exponent
-    spread that double precision cannot resolve.
+    With s = q.T diag(lam) q (eigenvectors in the rows of q) this is the one
+    operation behind every slice move, with log-weights u = t g(lam) for a Lax
+    flow at time t, log|f(lam)| for a functional step or log w for a slice
+    point.  Only differences of u matter: the largest weight is made exactly 1.
+    Raises SingularMatrix when max u - min u exceeds 700 (or u is not finite),
+    an exponent spread that double precision cannot resolve.
     """
-    w = np.abs(np.asarray(w, dtype=float))
-    with np.errstate(invalid="ignore"):  # a zero or infinite maximum gives NaN, refused below
-        w = w / w.max()
-    smallest = float(w.min())
-    if not smallest >= math.exp(-_EXP_SPREAD_LIMIT):
-        raise SingularMatrix(
-            f"smallest weight ratio {smallest:.3e} is below e^-{_EXP_SPREAD_LIMIT:.0f}; "
-            "the weighted QR factor is undefined in double precision"
-        )
+    u = np.asarray(u, dtype=float)
+    top, bottom = float(u.max()), float(u.min())
+    spread = top - bottom if math.isfinite(bottom) else math.inf
+    if not spread <= _EXP_SPREAD_LIMIT:
+        raise SingularMatrix(f"log-weight spread {spread:.6g} exceeds {_EXP_SPREAD_LIMIT:.0f}; "
+                             "the weighted QR factor is undefined in double precision")
+    w = np.exp(u - top)
     # Householder elimination only keeps the faint rows accurate when the
     # dominant rows come first; factor the row-sorted matrix instead and
     # undo the permutation on the orthogonal factor.  P^T Qtilde is
@@ -102,12 +98,22 @@ def weighted_conjugate(lam, q, w) -> np.ndarray:
 
 
 def _step(a: np.ndarray, f: SpectralFunction) -> np.ndarray:
-    """``functional_step`` on a validated symmetric array."""
+    """``functional_step`` on a validated symmetric array.  Its log-weights
+    log|f(lam)| skip f where it would overflow (k log|lam| for x^k, scale * lam
+    for exp); other f are divided by max|f| first, exact under 2^m scaling."""
     if f.kind == "identity":
         q, r = kernels.invertible_qr(a)
         return symmetrize(r @ q)
     lam, q = kernels.jacobi_eigensystem(a)
-    return weighted_conjugate(lam, q, function_values(f, lam))
+    with np.errstate(divide="ignore"):  # a vanishing f gives -inf, refused by the kernel
+        if f.kind == "exp":
+            u = f.scale * lam
+        elif f.kind == "power" and f.exponent:
+            u = float(f.exponent) * np.log(np.abs(kernels.in_domain(f, lam)))
+        else:
+            w = np.abs(function_values(f, lam))
+            u = np.log(w / (w.max() or 1.0))
+    return weighted_conjugate(lam, q, u)
 
 
 def qr_step(s) -> np.ndarray:
@@ -122,10 +128,10 @@ def functional_step(s, f: SpectralFunction) -> np.ndarray:
     """Conjugate s by the orthogonal factor of f(s).
 
     ``f`` must be defined on the spectrum of ``s`` (DomainViolation
-    otherwise) and must not vanish on it (SingularMatrix otherwise);
-    negative values are fine.  The identity gives the plain QR step, and
-    f(x) = x^k exactly k of them; scaling f by a positive constant does not
-    change the result.
+    otherwise), and |f| must neither vanish on it nor spread beyond e^700
+    (SingularMatrix otherwise); negative values are fine.  The identity gives
+    the plain QR step, and f(x) = x^k exactly k of them; scaling f by a
+    positive constant does not change the result.
     """
     return _step(as_symmetric(s), f)
 
@@ -166,7 +172,7 @@ def slice_point(s, w) -> np.ndarray:
     if float(w.min()) <= 0.0:
         raise DomainViolation("slice weights must be strictly positive")
     lam, q = kernels.simple_eigensystem(a)
-    return weighted_conjugate(lam, q, w)
+    return weighted_conjugate(lam, q, np.log(w / w.max()))
 
 
 def is_irreducible(s) -> bool:

@@ -233,12 +233,9 @@ def interpolating_field(s) -> np.ndarray:
 def flow_factorized(s0, g: SpectralFunction, t: float) -> np.ndarray:
     """Exact-in-principle solution of the Lax flow at any time t.
 
-    Computed in the eigenbasis: with s0 = q.T diag(lam) q, the solution is
-    Q.T diag(lam) Q where Q is the orthogonal QR factor of
-    diag(exp(t*g(lam) - max)) @ q.  Only weight *ratios* matter, so shifting
-    the exponents by their maximum avoids overflow at large |t|; when the
-    remaining spread exceeds ~700 the ratios underflow double precision and
-    SingularMatrix is raised.
+    With s0 = q.T diag(lam) q it is the slice move with log-weights t*g(lam):
+    Q.T diag(lam) Q, Q the orthogonal QR factor of diag(exp(t*g(lam))) @ q.
+    Raises SingularMatrix when their spread exceeds 700; see weighted_conjugate.
     """
     return flow_factorized_trajectory(s0, g, [t]).final
 
@@ -251,10 +248,7 @@ def flow_factorized_trajectory(s0, g: SpectralFunction, times) -> Trajectory:
     times = as_time_grid(times)
     lam, q = kernels.jacobi_eigensystem(as_symmetric(s0))
     vals = function_values(g, lam)
-    states = []
-    for t in times:
-        exponents = t * vals
-        states.append(weighted_conjugate(lam, q, np.exp(exponents - exponents.max())))
+    states = [weighted_conjugate(lam, q, t * vals) for t in times]
     return trusted(Trajectory, times=times, states=states)
 
 

@@ -252,6 +252,19 @@ def test_not_jacobi_exits_one(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "NotJacobi"
 
 
+def test_step_beyond_the_spread_limit_exits_one_naming_it(tmp_path, capsys):
+    # x^260 on the spectrum (17, 9, 4, 1) spreads its log-weights over 736.6
+    src, dst = tmp_path / "j.json", tmp_path / "out.json"
+    assert run("random", "--kind", "jacobi", "--n", "4", "--seed", "7",
+               "--spectrum", "17,9,4,1", "--out", src) == 0
+    capsys.readouterr()
+    assert run("step", "--in", src, "--f", "pow:260", "--out", dst) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "SingularMatrix" and "spread 736.6" in err["detail"]
+    assert not dst.exists()
+
+
 @pytest.mark.parametrize("method", ["integrated", "both"])
 def test_diverging_flow_exits_one(tmp_path, capsys, method):
     src = tmp_path / "s.json"

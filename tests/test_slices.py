@@ -1,3 +1,7 @@
+import math
+import re
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -176,6 +180,34 @@ def test_functional_step_rejects_vanishing_f():
     s[0, 1] = s[1, 0] = 0.3
     with pytest.raises(SingularMatrix):
         functional_step(s, SpectralFunction.log())  # log(1) = 0 kills a direction
+
+
+@pytest.mark.parametrize("k", [250, 260])
+def test_power_step_beyond_the_spread_limit_names_the_spread(k):
+    # x^260 overflowed before the kernel saw it (a RuntimeWarning, then a
+    # weight ratio of nan); x^250 reached it as a ratio of 2.4e-308.  The
+    # log-weights k * log(lam) spread k * log 17.
+    j = random_jacobi(4, default_rng(3), spectrum=[17.0, 9.0, 4.0, 1.0])
+    with warnings.catch_warnings(), pytest.raises(SingularMatrix) as exc:
+        warnings.simplefilter("error", RuntimeWarning)
+        functional_step(j, SpectralFunction.power(k))
+    spread = float(re.search(r"spread (\S+) ", str(exc.value)).group(1))
+    assert spread == pytest.approx(k * math.log(17.0), rel=1e-5)
+
+
+def test_functional_step_rejects_f_vanishing_everywhere():
+    s = positive_instance(np.random.default_rng(241), 3)
+    with warnings.catch_warnings(), pytest.raises(SingularMatrix):
+        warnings.simplefilter("error", RuntimeWarning)
+        functional_step(s, SpectralFunction.polynomial([0.0]))
+
+
+def test_exp_step_past_overflow_is_the_unit_time_identity_flow():
+    # e^720 overflows double precision, yet the weights spread only e^9
+    s = random_with_spectrum([720.0, 715.0, 712.0, 711.0], np.random.default_rng(239))
+    npt.assert_allclose(functional_step(s, SpectralFunction.exp()),
+                        flow_factorized(s, SpectralFunction.identity(), 1.0),
+                        rtol=0.0, atol=1e-12 * frobenius(s))
 
 
 def test_functional_step_domain_error_propagates():

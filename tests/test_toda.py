@@ -324,6 +324,13 @@ def test_flow_refuses_underflowing_times():
         flow_factorized(s, IDENTITY, 300.0)  # spread 300*3 = 900 > 700
 
 
+def test_flow_beyond_the_spread_limit_names_the_spread():
+    # the kernel saw exp(t g - max) and named its smallest ratio, 1.2e-320
+    j = random_jacobi(4, np.random.default_rng(3), spectrum=[17.0, 9.0, 4.0, 1.0])
+    with pytest.raises(SingularMatrix, match=r"spread 736\.6"):
+        flow_factorized(j, SpectralFunction.log(), 260.0)
+
+
 def test_flow_trajectory_matches_pointwise_calls():
     rng = np.random.default_rng(587)
     s = random_with_spectrum([3.0, 1.5, 0.5], rng)
@@ -345,6 +352,29 @@ def test_integrated_matches_factorized():
         assert maxabs(traj.final - exact) < 1e-6 * frobenius(s)
         assert len(traj) == 2001
         assert abs(traj.times[-1] - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_commuting_flows_add_their_log_weights(n):
+    # Lax flows with different g commute, and a flow for time t adds t g(lam)
+    # to the log-weights: RK4 along x then log, RK4 along log then x, and one
+    # slice move with log-weights 0.3 lam + 0.2 log(lam) reach one matrix
+    log = SpectralFunction.log()
+
+    def integrated(s, *legs):
+        for g, t in legs:
+            s = flow_integrated(s, FlowConfig(g=g, t_final=t, dt=0.002)).final
+        return s
+
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        s = random_with_spectrum(descending_spectrum(n, rng, lo=0.5, hi=4.0, min_gap=0.1), rng)
+        lam, q = kernels.jacobi_eigensystem(s)
+        closed = slices.weighted_conjugate(lam, q, 0.3 * lam + 0.2 * np.log(lam))
+        x_then_log = integrated(s, (IDENTITY, 0.3), (log, 0.2))
+        log_then_x = integrated(s, (log, 0.2), (IDENTITY, 0.3))
+        for got in (x_then_log, log_then_x):
+            assert maxabs(got - closed) < 1e-6 * frobenius(s), (n, seed)
 
 
 def test_integrator_is_fourth_order():
