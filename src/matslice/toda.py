@@ -160,11 +160,12 @@ def particle_field(state: TodaState) -> tuple[np.ndarray, np.ndarray]:
 
 def _hamilton_field(n: int):
     f = np.zeros(n + 1)  # bond terms f, zero-padded at both ends: force f[k-1] - f[k]
+    bonds, left, right = f[1:-1], f[:-1], f[1:]
 
     def field(z: np.ndarray, out: np.ndarray) -> np.ndarray:  # rows x over y
-        np.exp(z[0, :-1] - z[0, 1:], out=f[1:-1])
+        np.exp(np.subtract(z[0, :-1], z[0, 1:], bonds), bonds)
         out[0] = z[1]
-        np.subtract(f[:-1], f[1:], out=out[1])
+        np.subtract(left, right, out[1])
         return out
 
     return field
@@ -192,10 +193,12 @@ def _field(g: SpectralFunction, n: int):
     the eigensolver finishes by Cayley steps.
     """
     sigma, eye = kernels.skew_signs(n), kernels.solver_layout(n)[0]
+    b, c = np.empty((2, n, n))  # g(a) * sigma and a @ b, reused by every call
+    ct = c.T
 
-    def lax(a: np.ndarray, ga: np.ndarray, out: np.ndarray):
-        c = a @ (ga * sigma)
-        return np.add(c, c.T, out=out)
+    def lax(a: np.ndarray, ga: np.ndarray, out: np.ndarray):  # out positional: no keyword parsing
+        np.matmul(a, np.multiply(ga, sigma, b), c)
+        return np.add(c, ct, out)
 
     coeffs = {"identity": (0.0, 1.0), "polynomial": g.coeffs}.get(g.kind)
     if g.kind == "power" and not (g.requires_positive or g.requires_nonzero):
@@ -243,12 +246,19 @@ def flow_factorized(s0, g: SpectralFunction, t: float) -> np.ndarray:
 def flow_factorized_trajectory(s0, g: SpectralFunction, times) -> Trajectory:
     """Factorized flow sampled on a strictly increasing time grid.
 
-    Decomposes once and reuses the eigenbasis for every sample.
+    Decomposes once and reuses the eigenbasis for every sample.  For g = e^(s x),
+    t e^(s lam) is formed as sign(t) e^(s lam + log|t|): e^(s lam) may overflow.
     """
     times = as_time_grid(times)
     lam, q = kernels.jacobi_eigensystem(as_symmetric(s0))
-    vals = function_values(g, lam)
-    states = [weighted_conjugate(lam, q, t * vals) for t in times]
+    if g.kind == "exp":
+        with np.errstate(over="ignore"):  # an infinite log-weight is refused as spread inf
+            logs = [np.copysign(np.exp(g.scale * lam + math.log(abs(t))), t) if t else 0.0 * lam
+                    for t in times.tolist()]
+    else:
+        vals = function_values(g, lam)
+        logs = [t * vals for t in times]
+    states = [weighted_conjugate(lam, q, u) for u in logs]
     return trusted(Trajectory, times=times, states=states)
 
 
@@ -287,23 +297,30 @@ def _check_span(t_final: float, dt: float):
 def _rk4(field, z: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Classical RK4 on dz/dt = field(z) from z at times[0]: all states, as one array.
 
-    ``field(z, out)`` writes its slope into a row of one (4, *z.shape) buffer; a step
-    is one product of h/6 (1, 2, 2, 1) with the flattened slopes, within roundoff of
-    the sum written out.  Raises ValueError at the first step whose state is not finite
-    (its product with zeros is NaN, not 0), as when dt is too large for the field."""
+    A step's four slopes (each written by ``field(z, out)``) and its start state are
+    the rows of one zeroed (5, z.size) buffer.  Each later stage input, and the next
+    state, is one product of a coefficient row with it, (c at k_j, 1 at z) or (h/6
+    (1, 2, 2, 1), 1): bitwise z + c k_j and h/6 (k1 + 2 k2 + 2 k3 + k4) + z, as it
+    adds the terms in row order, zero ones as +-0.  Step 0 reads unwritten rows (by
+    0), hence the zeros.  Raises ValueError at the first step whose state is not
+    finite (its product with zeros is NaN, not 0), as when dt is too large."""
     steps = np.diff(times)
-    path = np.resize(z, (len(times), *z.shape))  # every row starts as z
-    slopes, stage = np.empty((4, *z.shape)), np.empty_like(z)
-    flat, flat_slopes = path.reshape(len(times), -1), slopes.reshape(4, -1)
-    weights, zeros = np.outer(steps / 6.0, (1.0, 2.0, 2.0, 1.0)), np.zeros(z.size)
-    for i, h in enumerate(steps.tolist()):
-        z = path[i]
-        field(z, slopes[0])
-        for k, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
-            field(np.add(np.multiply(slopes[k - 1], c, out=stage), z, out=stage), slopes[k])
-        np.dot(weights[i], flat_slopes, out=flat[i + 1])
-        flat[i + 1] += flat[i]
-        if zeros.dot(flat[i + 1]) != 0.0:
+    path = np.empty((len(times), *z.shape))
+    path[0] = z
+    buf, stage, zeros = np.zeros((5, *z.shape)), np.empty_like(z), np.zeros(z.size)
+    flat, flat_buf, flat_stage = path.reshape(len(times), -1), buf.reshape(5, -1), stage.reshape(-1)
+    rows = np.zeros((len(steps), 4, 5))  # per step: three stage rows, then the step's
+    rows[:, :3, :3] = np.multiply.outer(steps, np.diag((0.5, 0.5, 1.0)))
+    rows[:, 3, :4] = np.outer(steps / 6.0, (1.0, 2.0, 2.0, 1.0))
+    rows[:, :, 4] = 1.0
+    k1, *later, start = buf
+    for i, step in enumerate(rows):
+        start[...] = path[i]
+        field(start, k1)
+        for row, k in zip(step, later):
+            np.dot(row, flat_buf, flat_stage)
+            field(stage, k)
+        if zeros.dot(np.dot(step[3], flat_buf, flat[i + 1])) != 0.0:
             raise ValueError("integrated state is no longer finite; reduce dt")
     return path
 
@@ -325,7 +342,8 @@ def particle_flow(state0: TodaState, t_final: float, dt: float) -> ParticleTraje
     """Classical RK4 on Hamilton's equations, recording every step."""
     times = time_grid(t_final, dt)
     path = _rk4(_hamilton_field(state0.n), np.vstack([state0.x, state0.y]), times)
-    states = [trusted(TodaState, x=x.copy(), y=y.copy()) for x, y in path]
+    xs, ys = map(np.ndarray.copy, path[:, 0]), map(np.ndarray.copy, path[:, 1])
+    states = [trusted(TodaState, x=x, y=y) for x, y in zip(xs, ys)]
     return trusted(ParticleTrajectory, times=times, states=states)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -331,6 +332,24 @@ def test_flow_beyond_the_spread_limit_names_the_spread():
         flow_factorized(j, SpectralFunction.log(), 260.0)
 
 
+def test_exp_flow_beyond_exp_overflow_is_the_shifted_flow():
+    # e^lam overflows above 709.8, yet t e^lam spreads only 427.6 here: the
+    # flow must not form e^lam.  Shifting S by -20 I scales g by e^-20, so the
+    # reference flows S - 20 I for t e^20, whose e^lam stays finite.
+    j = random_jacobi(4, np.random.default_rng(3), spectrum=[720.0, 715.0, 712.0, 711.0])
+    t, shift, eye = 2.0 ** -1030, 20.0, np.eye(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = flow_factorized(j, SpectralFunction.exp(), t)
+        want = flow_factorized(j - shift * eye, SpectralFunction.exp(), t * math.exp(shift))
+    assert maxabs(got - (want + shift * eye)) <= 1e-14 * frobenius(j)
+    assert maxabs(got - j) > 1.0  # the flow moved
+    # at t = 1 the log-weights themselves overflow: a refusal, not a warning
+    with warnings.catch_warnings(), pytest.raises(SingularMatrix, match="spread inf"):
+        warnings.simplefilter("error", RuntimeWarning)
+        flow_factorized(j, SpectralFunction.exp(), 1.0)
+
+
 def test_flow_trajectory_matches_pointwise_calls():
     rng = np.random.default_rng(587)
     s = random_with_spectrum([3.0, 1.5, 0.5], rng)
@@ -513,6 +532,77 @@ def test_rk4_matches_the_textbook_loop(n):
                         np.vstack([state.x, state.y]), times)
     got = np.array([[s.x, s.y] for s in particle_flow(state, 0.4, 0.002).states])
     assert maxabs(got - want) <= 1e-14 * maxabs(want)
+
+
+def multiply_add_rk4(field, z, times):
+    """The RK4 loop before the fused stages: each stage input by a multiply and
+    an add, each step by a product with the four slopes and an add.  ``toda._rk4``
+    must give its results bit for bit."""
+    steps = np.diff(times)
+    path = np.resize(z, (len(times), *z.shape))
+    slopes, stage = np.empty((4, *z.shape)), np.empty_like(z)
+    flat, flat_slopes = path.reshape(len(times), -1), slopes.reshape(4, -1)
+    weights = np.outer(steps / 6.0, (1.0, 2.0, 2.0, 1.0))
+    for i, h in enumerate(steps.tolist()):
+        field(path[i], slopes[0])
+        for k, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
+            field(np.add(np.multiply(slopes[k - 1], c, out=stage), path[i], out=stage), slopes[k])
+        np.dot(weights[i], flat_slopes, out=flat[i + 1])
+        flat[i + 1] += flat[i]
+    return path
+
+
+def jacobi_case(n, seed):
+    rng = np.random.default_rng(seed)
+    return random_jacobi(n, rng, spectrum=descending_spectrum(n, rng, lo=0.5, hi=3.0, min_gap=0.1))
+
+
+def particle_path(state, t_final, dt):
+    return np.array([[s.x, s.y] for s in particle_flow(state, t_final, dt).states])
+
+
+@pytest.mark.parametrize("dt", [0.0025, 0.008])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_rk4_is_bitwise_the_multiply_add_loop(n, dt):
+    # the benchmark's step sizes; a fused stage adds its zero terms as +-0
+    j = jacobi_case(n, 659 + n)
+    times = time_grid(0.2, dt)
+    for g in FIELD_ROUTES:
+        got = np.array(flow_integrated(j, FlowConfig(g=g, t_final=0.2, dt=dt)).states)
+        assert np.array_equal(got, multiply_add_rk4(toda._field(g, n), j, times))
+    state = inverse_flaschka(j)
+    want = multiply_add_rk4(toda._hamilton_field(n), np.vstack([state.x, state.y]), times)
+    assert np.array_equal(particle_path(state, 0.2, dt), want)
+
+
+def test_rk4_reads_no_buffer_before_writing_it(monkeypatch):
+    # step 0's stages multiply slope rows that no field has written yet, by 0;
+    # were any buffer uninitialised memory, a NaN there would make the flow
+    # raise "no longer finite" (0 * NaN), now and then.  Here it always is NaN.
+    j = jacobi_case(6, 661)
+    state = inverse_flaschka(j)
+
+    def flows():
+        states = [flow_integrated(j, FlowConfig(g=g, t_final=0.1, dt=0.0025)).states
+                  for g in (IDENTITY, SpectralFunction.log())]
+        return [np.array(s) for s in states] + [particle_path(state, 0.1, 0.0025)]
+
+    want = flows()
+    empty, empty_like = np.empty, np.empty_like
+
+    def nan_filled(make):
+        def patched(*args, **kwargs):
+            a = make(*args, **kwargs)
+            if a.dtype.kind == "f":
+                a.fill(np.nan)
+            return a
+        return patched
+
+    monkeypatch.setattr(np, "empty", nan_filled(empty))
+    monkeypatch.setattr(np, "empty_like", nan_filled(empty_like))
+    assert np.isnan(np.empty(3)).all()
+    for got, ref in zip(flows(), want, strict=True):
+        assert np.array_equal(got, ref)
 
 
 # --------------------------------------------------------- particle dynamics
