@@ -27,7 +27,7 @@ import numpy as np
 # LAPACK gesv: the gufunc np.linalg.solve calls after its per-call type checks
 from numpy.linalg._umath_linalg import solve as _gesv
 
-from .errors import DegenerateSpectrum, DomainViolation, SingularMatrix
+from .errors import DegenerateSpectrum, SingularMatrix
 
 # Relative tolerances, sized for double precision at n <= 12.
 SINGULAR_RTOL = 1e-12        # invertibility threshold on diag(R), relative to ||m||
@@ -67,18 +67,6 @@ def symmetrize(m) -> np.ndarray:
     """Average a matrix with its transpose (exact for already-symmetric input)."""
     a = np.asarray(m, dtype=float)
     return 0.5 * (a + a.T)
-
-
-def in_domain(f, lam) -> np.ndarray:
-    """``lam`` as floats, or DomainViolation where the spectral function ``f`` is
-    undefined; an eigenvalue at or below SINGULAR_RTOL * ||lam|| counts as zero."""
-    lam = np.asarray(lam, dtype=float)
-    if f.requires_positive and float(lam.min()) <= 0.0:
-        raise DomainViolation(f"{f.kind} requires a strictly positive spectrum; "
-                              f"smallest eigenvalue is {float(lam.min()):.6g}")
-    if f.requires_nonzero and float(np.min(np.abs(lam))) <= SINGULAR_RTOL * frobenius(lam):
-        raise DomainViolation("negative powers require an invertible argument")
-    return lam
 
 
 def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ splitting.  Each checks its matrices once and hands them to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, DomainViolation
 from .kernels import frobenius, symmetrize
 
 
@@ -113,15 +114,15 @@ def spectral_decompose(s) -> SpectralDecomposition:
 class SpectralFunction:
     """A scalar function meant to act on a symmetric matrix through its spectrum.
 
-    Kinds: ``identity``, ``power`` (rational exponent), ``log``, ``exp``
-    (x -> e^(scale*x); scale 1 from ``exp()``), ``polynomial`` (coefficients in
-    ascending degree, evaluated by Horner).  Instances are immutable and
-    callable on floats or arrays.
+    Kinds: ``identity``, ``power`` (rational exponent), ``log``, ``exp``,
+    ``polynomial`` (coefficients in ascending degree, evaluated by Horner).
+    Instances are immutable and callable on floats or arrays, and they hold
+    every rule that depends on the kind: the domain, the polynomial form and
+    the log-weights of the slice moves.
     """
 
     kind: str
     exponent: Fraction | None = None
-    scale: float | None = None
     coeffs: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -130,15 +131,13 @@ class SpectralFunction:
             raise ValueError(f"unknown function kind {self.kind!r}")
         if self.kind == "power" and not isinstance(self.exponent, Fraction):
             raise ValueError("power needs a Fraction exponent")
-        if self.kind == "exp" and self.scale is None:
-            raise ValueError("exp needs a scale")
         if self.kind == "polynomial":
             if not self.coeffs:
                 raise ValueError("polynomial needs at least one coefficient")
             if self.coeffs[-1] == 0.0 and len(self.coeffs) > 1:
                 raise ValueError("leading polynomial coefficient must be nonzero")
-        if not np.all(np.isfinite([*(self.coeffs or ()), self.scale or 0.0])):
-            raise ValueError("coefficients and scale must be finite")
+        if not np.all(np.isfinite(self.coeffs or ())):
+            raise ValueError("coefficients must be finite")
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -157,34 +156,61 @@ class SpectralFunction:
 
     @classmethod
     def exp(cls) -> "SpectralFunction":
-        return cls("exp", scale=1.0)
-
-    @classmethod
-    def scaled_exp(cls, t: float) -> "SpectralFunction":
-        return cls("exp", scale=float(t))
+        return cls("exp")
 
     @classmethod
     def polynomial(cls, coeffs: Sequence[float]) -> "SpectralFunction":
         return cls("polynomial", coeffs=tuple(float(c) for c in coeffs))
 
-    # -- domain flags ------------------------------------------------------
+    # -- kind rules --------------------------------------------------------
     @property
-    def requires_positive(self) -> bool:
-        """True when the function is only defined on a strictly positive spectrum."""
-        if self.kind == "log":
-            return True
-        if self.kind == "power":
-            return self.exponent.denominator != 1
-        return False
+    def coefficients(self) -> tuple[float, ...] | None:
+        """Ascending coefficients when f is a polynomial (the identity, x^k for
+        an integer k >= 0, ``polynomial``), None otherwise."""
+        if self.kind == "identity":
+            return (0.0, 1.0)
+        if self.kind == "power" and self.exponent.denominator == 1 and self.exponent >= 0:
+            return (0.0,) * int(self.exponent) + (1.0,)
+        return self.coeffs
 
-    @property
-    def requires_nonzero(self) -> bool:
-        """True for negative integer powers (need an invertible argument)."""
-        return (
-            self.kind == "power"
-            and self.exponent.denominator == 1
-            and self.exponent < 0
-        )
+    def check_domain(self, lam) -> np.ndarray:
+        """``lam`` as floats, or DomainViolation where f is undefined: log and
+        fractional powers need a positive spectrum, negative integer powers an
+        invertible one (an eigenvalue at or below 1e-12 * ||lam|| counts as zero)."""
+        lam = np.asarray(lam, dtype=float)
+        root = self.kind == "power" and self.exponent.denominator != 1
+        if (root or self.kind == "log") and float(lam.min()) <= 0.0:
+            raise DomainViolation(f"{self.kind} requires a strictly positive spectrum; "
+                                  f"smallest eigenvalue is {float(lam.min()):.6g}")
+        if (self.kind == "power" and not root and self.exponent < 0
+                and float(np.min(np.abs(lam))) <= kernels.SINGULAR_RTOL * frobenius(lam)):
+            raise DomainViolation("negative powers require an invertible argument")
+        return lam
+
+    def step_log_weights(self, lam) -> np.ndarray:
+        """log|f(lam)| up to a constant, the log-weights of a functional step:
+        k log|lam| for x^k (k != 0) and lam for exp, which never form f (it may
+        overflow); any other f over max|f|, exact under 2^m scaling.  A zero of
+        f gives -inf, an overflow inf or NaN: ``slices.weighted_conjugate``
+        refuses both as spread inf."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if self.kind == "exp":
+                return np.array(lam, dtype=float)
+            if self.kind == "power" and self.exponent:
+                return float(self.exponent) * np.log(np.abs(self.check_domain(lam)))
+            w = np.abs(function_values(self, lam))
+            return np.log(w / (w.max() or 1.0))
+
+    def flow_log_weights(self, lam, times: np.ndarray) -> list[np.ndarray]:
+        """t g(lam) for each time t, the log-weights of the Lax flow of g; for
+        exp sign(t) e^(lam + log|t|) (0 at t = 0), as e^lam may overflow where
+        t e^lam does not.  An overflow gives inf, refused as spread inf."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if self.kind == "exp":
+                return [np.copysign(np.exp(lam + math.log(abs(t))), t) if t else 0.0 * lam
+                        for t in times.tolist()]
+            vals = function_values(self, lam)
+            return [t * vals for t in times]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -193,12 +219,10 @@ class SpectralFunction:
         if self.kind == "log":
             return np.log(x)
         if self.kind == "exp":
-            return np.exp(self.scale * x)
+            return np.exp(x)
         if self.kind == "power":
             k = self.exponent
-            if k.denominator == 1:
-                return x ** int(k)
-            return x ** float(k)
+            return x ** int(k) if k.denominator == 1 else x ** float(k)
         # polynomial, Horner in ascending-degree coefficients
         result = np.full_like(x, self.coeffs[-1])
         for c in reversed(self.coeffs[:-1]):
@@ -207,8 +231,8 @@ class SpectralFunction:
 
 
 def function_values(f: SpectralFunction, lam) -> np.ndarray:
-    """Evaluate ``f`` on a spectrum inside its domain; see ``kernels.in_domain``."""
-    return np.asarray(f(kernels.in_domain(f, lam)), dtype=float)
+    """Evaluate ``f`` on a spectrum inside its domain; see ``SpectralFunction.check_domain``."""
+    return np.asarray(f(f.check_domain(lam)), dtype=float)
 
 
 def apply_function(s, f: SpectralFunction) -> np.ndarray:

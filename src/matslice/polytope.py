@@ -70,6 +70,14 @@ def _validate_spectrum(lam) -> np.ndarray:
     return lam
 
 
+def _permutations(n: int) -> np.ndarray:
+    """The n! permutations of range(n) as rows, in lexicographic order;
+    TooLarge past n = 8, before any other work."""
+    if n > MAX_VERTEX_N:
+        raise TooLarge(f"enumerating {n}! permutations is past the desk scale")
+    return np.array(list(itertools.permutations(range(n))))
+
+
 def permutohedron_vertices(lam) -> VertexSet:
     """All n! permutations of a strictly descending spectrum."""
     return spectral_polytope(_validate_spectrum(lam))
@@ -92,16 +100,15 @@ def accessible_vertices(s) -> VertexSet:
     are all nonzero; these are the hull vertices reachable by sorting flows.
 
     Each minor is factored once per row set (2^n - 2 in all); listing the
-    accepted permutations keeps the n <= 8 cap.  Requires an irreducible
-    matrix with simple spectrum.
+    permutations keeps the n <= 8 cap, checked before any other work.
+    Requires an irreducible matrix with simple spectrum.
     """
     a = as_symmetric(s)
+    perms = _permutations(len(a))
     if not kernels.is_irreducible(a):
         raise NotIrreducible("vertex accessibility needs an irreducible matrix")
     lam, q = kernels.simple_eigensystem(a)
     n = len(lam)
-    if n > MAX_VERTEX_N:
-        raise TooLarge(f"checking {n}! permutations is past the desk scale")
     # |det| of the leading k x k minor of the eigenvector matrix on each row
     # set, indexed by the bit mask of the rows; the row order of a permutation
     # prefix does not change |det|.  Columns: the leading eigenvalues.
@@ -109,7 +116,6 @@ def accessible_vertices(s) -> VertexSet:
     for k in range(1, n):
         rows = np.array(list(itertools.combinations(range(n), k)))
         minors[(1 << rows).sum(axis=1)] = np.abs(np.linalg.det(q[rows, :k]))
-    perms = np.array(list(itertools.permutations(range(n))))
     closest = minors[np.cumsum(1 << perms[:, :-1], axis=1)].min(axis=1)
     ok = closest > MINOR_TOL
     accepted = tuple(map(tuple, perms[ok].tolist()))
@@ -128,10 +134,7 @@ def spectral_polytope(lam) -> VertexSet:
     lam = _as_spectrum(lam)
     if np.any(np.diff(lam) > 0.0):
         raise ValueError("spectrum must be non-increasing")
-    n = len(lam)
-    if n > MAX_VERTEX_N:
-        raise TooLarge(f"enumerating {n}! permutations is past the desk scale")
-    perms = np.array(list(itertools.permutations(range(n))))
+    perms = _permutations(len(lam))
     _, first = np.unique(lam[perms], axis=0, return_index=True)
     perms = perms[np.sort(first)]  # one permutation per point, the first
     points = lam[perms]

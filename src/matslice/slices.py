@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels
 from .errors import DomainViolation, SingularMatrix
 from .kernels import IRREDUCIBLE_RTOL  # the coupling threshold of is_irreducible
-from .linalg import SpectralFunction, as_symmetric, as_vector, function_values, symmetrize
+from .linalg import SpectralFunction, as_symmetric, as_vector, symmetrize
 
 _EXP_SPREAD_LIMIT = 700.0  # beyond this, weight ratios underflow double precision
 
@@ -98,22 +98,13 @@ def weighted_conjugate(lam, q, u) -> np.ndarray:
 
 
 def _step(a: np.ndarray, f: SpectralFunction) -> np.ndarray:
-    """``functional_step`` on a validated symmetric array.  Its log-weights
-    log|f(lam)| skip f where it would overflow (k log|lam| for x^k, scale * lam
-    for exp); other f are divided by max|f| first, exact under 2^m scaling."""
+    """``functional_step`` on a validated symmetric array: the identity by QR,
+    every other f by its log-weights, ``SpectralFunction.step_log_weights``."""
     if f.kind == "identity":
         q, r = kernels.invertible_qr(a)
         return symmetrize(r @ q)
     lam, q = kernels.jacobi_eigensystem(a)
-    with np.errstate(divide="ignore"):  # a vanishing f gives -inf, refused by the kernel
-        if f.kind == "exp":
-            u = f.scale * lam
-        elif f.kind == "power" and f.exponent:
-            u = float(f.exponent) * np.log(np.abs(kernels.in_domain(f, lam)))
-        else:
-            w = np.abs(function_values(f, lam))
-            u = np.log(w / (w.max() or 1.0))
-    return weighted_conjugate(lam, q, u)
+    return weighted_conjugate(lam, q, f.step_log_weights(lam))
 
 
 def qr_step(s) -> np.ndarray:

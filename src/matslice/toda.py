@@ -183,8 +183,8 @@ def _field(g: SpectralFunction, n: int):
     (a b).T = -b a for symmetric a: one product, exactly symmetric.  b is
     g(a) * kernels.skew_signs(n), skew_part(g(a)) up to the signs of zeros
     and g(a)'s roundoff asymmetry; sigma's zero diagonal drops g(0).  So a
-    polynomial g (identity, nonnegative integer powers, ``polynomial``) goes
-    by Horner on (g(x) - g(0)) / x times a, with no eigensolve: from c_k a,
+    polynomial g (``g.coefficients``: identity, x^k for k >= 0, ``polynomial``)
+    goes by Horner on (g(x) - g(0)) / x times a, with no eigensolve: from c_k a,
     one diagonal shift (none for a zero coefficient) and one product by a per
     lower coefficient; constant g gives 0.  Every other g warm-starts each
     eigensolve on the solver's unordered core (q.T diag(g(lam)) q ignores the
@@ -200,9 +200,7 @@ def _field(g: SpectralFunction, n: int):
         np.matmul(a, np.multiply(ga, sigma, b), c)
         return np.add(c, ct, out)
 
-    coeffs = {"identity": (0.0, 1.0), "polynomial": g.coeffs}.get(g.kind)
-    if g.kind == "power" and not (g.requires_positive or g.requires_nonzero):
-        coeffs = (0.0,) * int(g.exponent) + (1.0,)
+    coeffs = g.coefficients
     if coeffs is not None:
         lead, *lower = (coeffs[1:] or (0.0,))[::-1]  # c_k, then c_(k-1) .. c_1
 
@@ -246,19 +244,12 @@ def flow_factorized(s0, g: SpectralFunction, t: float) -> np.ndarray:
 def flow_factorized_trajectory(s0, g: SpectralFunction, times) -> Trajectory:
     """Factorized flow sampled on a strictly increasing time grid.
 
-    Decomposes once and reuses the eigenbasis for every sample.  For g = e^(s x),
-    t e^(s lam) is formed as sign(t) e^(s lam + log|t|): e^(s lam) may overflow.
+    Decomposes once and reuses the eigenbasis for every sample; the
+    log-weights are ``g.flow_log_weights``.
     """
     times = as_time_grid(times)
     lam, q = kernels.jacobi_eigensystem(as_symmetric(s0))
-    if g.kind == "exp":
-        with np.errstate(over="ignore"):  # an infinite log-weight is refused as spread inf
-            logs = [np.copysign(np.exp(g.scale * lam + math.log(abs(t))), t) if t else 0.0 * lam
-                    for t in times.tolist()]
-    else:
-        vals = function_values(g, lam)
-        logs = [t * vals for t in times]
-    states = [weighted_conjugate(lam, q, u) for u in logs]
+    states = [weighted_conjugate(lam, q, u) for u in g.flow_log_weights(lam, times)]
     return trusted(Trajectory, times=times, states=states)
 
 
@@ -303,7 +294,8 @@ def _rk4(field, z: np.ndarray, times: np.ndarray) -> np.ndarray:
     (1, 2, 2, 1), 1): bitwise z + c k_j and h/6 (k1 + 2 k2 + 2 k3 + k4) + z, as it
     adds the terms in row order, zero ones as +-0.  Step 0 reads unwritten rows (by
     0), hence the zeros.  Raises ValueError at the first step whose state is not
-    finite (its product with zeros is NaN, not 0), as when dt is too large."""
+    finite (its product with zeros is NaN, not 0), as when dt is too large; the
+    overflows on the way there warn nothing."""
     steps = np.diff(times)
     path = np.empty((len(times), *z.shape))
     path[0] = z
@@ -314,14 +306,15 @@ def _rk4(field, z: np.ndarray, times: np.ndarray) -> np.ndarray:
     rows[:, 3, :4] = np.outer(steps / 6.0, (1.0, 2.0, 2.0, 1.0))
     rows[:, :, 4] = 1.0
     k1, *later, start = buf
-    for i, step in enumerate(rows):
-        start[...] = path[i]
-        field(start, k1)
-        for row, k in zip(step, later):
-            np.dot(row, flat_buf, flat_stage)
-            field(stage, k)
-        if zeros.dot(np.dot(step[3], flat_buf, flat[i + 1])) != 0.0:
-            raise ValueError("integrated state is no longer finite; reduce dt")
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is the ValueError below
+        for i, step in enumerate(rows):
+            start[...] = path[i]
+            field(start, k1)
+            for row, k in zip(step, later):
+                np.dot(row, flat_buf, flat_stage)
+                field(stage, k)
+            if zeros.dot(np.dot(step[3], flat_buf, flat[i + 1])) != 0.0:
+                raise ValueError("integrated state is no longer finite; reduce dt")
     return path
 
 

@@ -55,3 +55,17 @@ def private_reads(path: Path) -> list[str]:
 def test_modules_read_no_private_names_of_each_other():
     found = [line for path in sorted(PACKAGE.glob("*.py")) for line in private_reads(path)]
     assert not found, "\n".join(found)
+
+
+KIND_INTERNALS = {"exponent", "coeffs", "scale", "requires_positive", "requires_nonzero"}
+
+
+def test_only_linalg_reads_the_fields_of_a_spectral_function():
+    # every rule that depends on the kind of a SpectralFunction lives in
+    # linalg; the other modules ask it (coefficients, check_domain, the
+    # log-weights) instead of branching on its fields
+    found = [f"{path.name}:{node.lineno}: reads .{node.attr}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "linalg"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in KIND_INTERNALS]
+    assert not found, "\n".join(found)

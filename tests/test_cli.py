@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,15 @@ from matslice.fileio import (
     write_matrix,
     write_toda_state,
 )
-from matslice import SpectralFunction, TodaState, frobenius, kernels, qr_step
+from matslice import (
+    SpectralFunction,
+    TodaState,
+    default_rng,
+    frobenius,
+    kernels,
+    qr_step,
+    random_jacobi,
+)
 
 
 def run(*args):
@@ -274,6 +283,21 @@ def test_diverging_flow_exits_one(tmp_path, capsys, method):
                    "--method", method, "--out", tmp_path / "out.json") == 1
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("g, t, dt", [("exp", 1, 0.05), ("pow:3", 1, 0.05),
+                                       ("identity", 400, 2)])
+def test_diverging_integrated_flow_prints_one_json_line(tmp_path, capsys, g, t, dt):
+    # the overflows before the refusal used to print RuntimeWarnings first
+    src = tmp_path / "j.json"
+    write_matrix(random_jacobi(4, default_rng(5), spectrum=[7.0, 5.0, 3.0, 1.0]), src)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("flow", "--in", src, "--g", g, "--t", t, "--dt", dt,
+                   "--method", "integrated", "--out", tmp_path / "out.json") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "InvalidInput",
+                                "detail": "integrated state is no longer finite; reduce dt"}
 
 
 def test_bad_function_string_exits_two(tmp_path, jacobi_file, capsys):

@@ -302,7 +302,7 @@ def test_function_values_each_kind():
         function_values(SpectralFunction.polynomial([1.0, 0.0, 1.0]), lam),
         [17.0, 2.0])  # 1 + x^2
     npt.assert_allclose(
-        function_values(SpectralFunction.scaled_exp(-2.0), lam),
+        function_values(SpectralFunction.exp(), -2.0 * lam),
         np.exp([-8.0, -2.0]))
 
 
@@ -316,6 +316,63 @@ def test_function_domain_errors():
         function_values(SpectralFunction.power(-1), np.array([2.0, 0.0]))
     # integer powers are fine on negative values
     npt.assert_allclose(function_values(SpectralFunction.power(3), lam), [8.0, -1.0])
+
+
+def test_coefficients_are_the_polynomial_form():
+    assert SpectralFunction.identity().coefficients == (0.0, 1.0)
+    assert SpectralFunction.power(3).coefficients == (0.0, 0.0, 0.0, 1.0)
+    assert SpectralFunction.power(0).coefficients == (1.0,)
+    assert SpectralFunction.polynomial([2.0, 0.0, -1.0]).coefficients == (2.0, 0.0, -1.0)
+    for f in (SpectralFunction.log(), SpectralFunction.exp(), SpectralFunction.power(-1),
+              SpectralFunction.power(Fraction(1, 3)), SpectralFunction.power(Fraction(3, 2))):
+        assert f.coefficients is None
+
+
+def branch_step_log_weights(f, lam):
+    """The log-weights of a functional step as the step itself once wrote
+    them: the reference for ``step_log_weights``, inside the domain."""
+    with np.errstate(divide="ignore"):
+        if f.kind == "exp":
+            return 1.0 * lam  # the unit scale of every exp a caller can build
+        if f.kind == "power" and f.exponent:
+            return float(f.exponent) * np.log(np.abs(lam))
+        w = np.abs(function_values(f, lam))
+        return np.log(w / (w.max() or 1.0))
+
+
+def branch_flow_log_weights(g, lam, times):
+    """The log-weights of a factorized flow as the flow itself once wrote them."""
+    if g.kind == "exp":
+        with np.errstate(over="ignore"):
+            return [np.copysign(np.exp(1.0 * lam + math.log(abs(t))), t) if t else 0.0 * lam
+                    for t in times.tolist()]
+    vals = function_values(g, lam)
+    return [t * vals for t in times]
+
+
+LOG_WEIGHT_KINDS = {
+    "identity": SpectralFunction.identity(), "log": SpectralFunction.log(),
+    "exp": SpectralFunction.exp(), "pow2": SpectralFunction.power(2),
+    "pow3": SpectralFunction.power(3), "pow-1": SpectralFunction.power(-1),
+    "pow0": SpectralFunction.power(0), "pow1/3": SpectralFunction.power(Fraction(1, 3)),
+    "polynomial": SpectralFunction.polynomial([0.5, -1.0, 0.25, 2.0]),
+    "constant": SpectralFunction.polynomial([2.0]),
+}
+
+
+@pytest.mark.parametrize("kind", LOG_WEIGHT_KINDS)
+def test_log_weights_are_bitwise_the_branches_they_replace(kind):
+    f = LOG_WEIGHT_KINDS[kind]
+    rng = np.random.default_rng(307)
+    spectra = [np.array([720.0, 715.0, 712.0, 711.0])]
+    spectra += [np.sort(rng.uniform(0.1, 20.0, n))[::-1] for n in (2, 4, 6, 8)]
+    if f.kind != "log" and (f.exponent is None or f.exponent.denominator == 1):
+        spectra += [np.sort(rng.normal(size=n))[::-1] for n in (3, 5, 7)]
+    times = np.array([0.0, 2.0 ** -1030, 1e-300, 0.25, 1.0, 3.5, 40.0])
+    for lam in spectra:
+        assert f.step_log_weights(lam).tobytes() == branch_step_log_weights(f, lam).tobytes()
+        got, want = f.flow_log_weights(lam, times), branch_flow_log_weights(f, lam, times)
+        assert [u.tobytes() for u in got] == [u.tobytes() for u in want]
 
 
 def test_spectral_function_constructor_validation():
@@ -333,9 +390,7 @@ def test_spectral_function_constructor_validation():
     lambda: SpectralFunction.polynomial([math.nan, 1.0]),
     lambda: SpectralFunction.polynomial([1.0, -math.inf]),
     lambda: SpectralFunction.polynomial([math.inf]),
-    lambda: SpectralFunction.scaled_exp(math.inf),
-    lambda: SpectralFunction.scaled_exp(math.nan),
-], ids=["poly nan", "poly -inf lead", "poly inf", "scaled-exp inf", "scaled-exp nan"])
+], ids=["poly nan", "poly -inf lead", "poly inf"])
 def test_spectral_function_refuses_non_finite_parameters(make):
     # a NaN coefficient used to pass the constructor and make toda_field
     # return an all-NaN matrix without raising
@@ -373,7 +428,7 @@ def test_apply_function_exp_inverse_pair():
     npt.assert_allclose(back, s, atol=1e-11 * max(1.0, frobenius(s)))
     npt.assert_allclose(
         apply_function(s, SpectralFunction.exp())
-        @ apply_function(s, SpectralFunction.scaled_exp(-1.0)),
+        @ apply_function(-s, SpectralFunction.exp()),
         np.eye(4), atol=1e-11)
 
 

@@ -25,7 +25,7 @@ from matslice import (
     sum_zero_basis,
     symmetrize,
 )
-from matslice import polytope
+from matslice import kernels, polytope
 from conftest import golden_matrix, maxabs
 
 
@@ -310,6 +310,19 @@ def test_schur_horn_diagonals_are_members():
         diag = np.diag(symmetrize((q.T * lam) @ q))
         assert majorization_member(diag, lam)
         assert hull_member(diag, lam)
+
+
+def test_vertex_caps_refuse_before_any_work(monkeypatch):
+    calls = []
+    for name in ("is_irreducible", "jacobi_unordered"):
+        kernel = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name,
+                            lambda *a, name=name, kernel=kernel: calls.append(name) or kernel(*a))
+    with pytest.raises(TooLarge):
+        accessible_vertices(random_jacobi(9, np.random.default_rng(743)))
+    with pytest.raises(TooLarge):
+        spectral_polytope(np.arange(9.0)[::-1])
+    assert calls == []
 
 
 def test_hull_member_guards():

@@ -202,6 +202,27 @@ def test_functional_step_rejects_f_vanishing_everywhere():
         functional_step(s, SpectralFunction.polynomial([0.0]))
 
 
+def test_polynomial_step_past_overflow_names_spread_inf():
+    # x^260 written as a polynomial goes by Horner, which overflows where
+    # pow:260's 260 log(lam) does not; the inf weights used to leave as a
+    # RuntimeWarning and are now refused as spread inf
+    j = random_jacobi(4, default_rng(3), spectrum=[17.0, 9.0, 4.0, 1.0])
+    with warnings.catch_warnings(), pytest.raises(SingularMatrix, match="spread inf"):
+        warnings.simplefilter("error", RuntimeWarning)
+        functional_step(j, SpectralFunction.polynomial([0.0] * 260 + [1.0]))
+
+
+def test_quadratic_step_on_a_huge_matrix_refuses_where_pow2_answers():
+    s = 1e200 * random_jacobi(4, default_rng(3), spectrum=[17.0, 9.0, 4.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularMatrix, match="spread inf"):
+            functional_step(s, SpectralFunction.polynomial([0.0, 0.0, 1.0]))
+        # 2 log|lam| stays finite: two QR steps
+        npt.assert_allclose(functional_step(s, SpectralFunction.power(2)),
+                            qr_step(qr_step(s)), rtol=0.0, atol=1e-12 * frobenius(s))
+
+
 def test_exp_step_past_overflow_is_the_unit_time_identity_flow():
     # e^720 overflows double precision, yet the weights spread only e^9
     s = random_with_spectrum([720.0, 715.0, 712.0, 711.0], np.random.default_rng(239))

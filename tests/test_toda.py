@@ -730,3 +730,31 @@ def test_convergence_diagnostics_for_reversed_flow():
     assert rep.converged
     assert rep.diagonal_order == (2, 1, 0)  # ascending diagonal
     assert rep.broken_bonds == (0, 1)
+
+
+def test_flow_whose_log_weights_overflow_names_spread_inf():
+    # t x^2 overflows at t = 1e308 (it used to leave as a RuntimeWarning);
+    # t log(lam) stays finite and is refused by its spread
+    s = random_jacobi(4, np.random.default_rng(9), spectrum=[3.0, 2.0, 1.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularMatrix, match="spread inf"):
+            flow_factorized(s, SpectralFunction.power(2), 1e308)
+        with pytest.raises(SingularMatrix, match="spread 1.79"):
+            flow_factorized(s, SpectralFunction.log(), 1e308)
+
+
+@pytest.mark.parametrize("g, t_final, dt, error", [
+    (SpectralFunction.exp(), 1.0, 0.05, ValueError),
+    (SpectralFunction.power(3), 1.0, 0.05, ValueError),
+    (SpectralFunction.identity(), 400.0, 2.0, ValueError),
+    (SpectralFunction.log(), 400.0, 2.0, DomainViolation),
+], ids=["exp", "pow3", "identity", "log"])
+def test_diverging_rk4_flow_raises_without_warnings(g, t_final, dt, error):
+    # the overflows on the way to a non-finite state used to leave as
+    # RuntimeWarnings before the "reduce dt" ValueError; log leaves its
+    # domain first
+    j = random_jacobi(4, np.random.default_rng(5), spectrum=[7.0, 5.0, 3.0, 1.0])
+    with warnings.catch_warnings(), pytest.raises(error):
+        warnings.simplefilter("error", RuntimeWarning)
+        flow_integrated(j, FlowConfig(g, t_final, dt))
