@@ -30,7 +30,7 @@ from .generate import (
     random_symmetric,
 )
 from .jacobi import moser_coordinates, moser_reconstruct
-from .linalg import SpectralFunction, as_vector, frobenius, qr_factor
+from .linalg import SpectralFunction, as_spectrum, frobenius, qr_factor
 from .polytope import accessible_vertices, bfr_map, permutohedron_vertices
 from .slices import functional_step, iterate_qr
 from .toda import (
@@ -73,11 +73,7 @@ def parse_function(text: str) -> SpectralFunction:
 
 def parse_spectrum(text: str) -> np.ndarray:
     with _usage(f"bad spectrum {text!r}"):
-        values = as_vector([float(v) for v in text.split(",")], "spectrum")
-    if len(values) < 2 or np.any(np.diff(values) >= 0.0):
-        raise argparse.ArgumentTypeError(
-            "spectrum must list at least two strictly descending values")
-    return values
+        return as_spectrum([float(v) for v in text.split(",")])
 
 
 def _number(kind, rule: str, ok):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .jacobi import MoserCoordinates, moser_reconstruct
-from .linalg import as_vector, eigensystem, qr_factor, symmetrize
+from .linalg import as_spectrum, as_vector, eigensystem, qr_factor, symmetrize
 
 _GAP_FLOOR = 1e-3
 
@@ -76,7 +76,7 @@ def random_jacobi(n: int, rng: np.random.Generator, spectrum=None) -> np.ndarray
     ``MoserCoordinates`` requires) is checked before any draw."""
     _check_size(n)
     if spectrum is not None:
-        lam = MoserCoordinates(as_vector(spectrum, "spectrum", n), np.ones(n)).lam
+        lam = MoserCoordinates(as_spectrum(spectrum, n), np.ones(n)).lam
         w = 0.2 + rng.uniform(size=n)
         w /= np.linalg.norm(w)
         return moser_reconstruct(lam, w)

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import kernels
 from .errors import NotJacobi, ReconstructionFailure
-from .linalg import as_square, as_symmetric, as_vector
+from .linalg import as_spectrum, as_square, as_symmetric, as_vector
+from .slices import trusted
 
 WEIGHT_FLOOR = 1e-10        # refuse reconstruction below this first-coordinate size
 LANCZOS_BREAKDOWN = 1e-12   # Lanczos off-diagonal breakdown threshold, relative to max|lam|
@@ -37,7 +38,7 @@ def is_jacobi(s) -> bool:
 class MoserCoordinates:
     """Spectral chart of a Jacobi matrix: descending eigenvalues + unit weight vector.
 
-    ``lam`` must be strictly descending with gaps above 1e-9 * max|lam|;
+    ``lam`` must pass ``linalg.as_spectrum`` with gaps above 1e-9 * max|lam|;
     ``w`` must be strictly positive and is normalized to unit Euclidean norm
     at construction.
     """
@@ -46,13 +47,11 @@ class MoserCoordinates:
     w: np.ndarray
 
     def __post_init__(self):
-        self.lam = as_vector(self.lam, "eigenvalues lam")
+        self.lam = as_spectrum(self.lam)
         self.w = as_vector(self.w, "weights w", len(self.lam))
-        if len(self.lam) < 2:
-            raise ValueError("need at least two eigenvalues")
         gaps = self.lam[:-1] - self.lam[1:]
         if np.any(gaps <= COORDINATE_GAP_RTOL * float(np.max(np.abs(self.lam)))):
-            raise ValueError("eigenvalues must be strictly descending with clear gaps")
+            raise ValueError("eigenvalue gaps must exceed 1e-9 * max|lam|")
         if float(self.w.min()) <= 0.0:
             raise ValueError("weight vector must be strictly positive")
         self.w = self.w / float(np.linalg.norm(self.w))
@@ -73,13 +72,13 @@ def moser_coordinates(j) -> MoserCoordinates:
     if not kernels.is_jacobi(a):
         raise NotJacobi("input is not tridiagonal with a positive superdiagonal")
     lam, q = kernels.simple_eigensystem(a)
-    w = q[:, 0].copy()
+    w = q[:, 0]
     if float(w.min()) <= 0.0:
         raise NotJacobi(
             "first eigenvector coordinates are not strictly positive; "
             "input is numerically reducible"
         )
-    return MoserCoordinates(lam=lam, w=w)
+    return trusted(MoserCoordinates, lam=lam, w=w / float(np.linalg.norm(w)))
 
 
 def moser_reconstruct(lam, w) -> np.ndarray:

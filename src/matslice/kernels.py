@@ -232,12 +232,11 @@ def unordered_eigensystem(a: np.ndarray, start: np.ndarray | None = None
     return jacobi_unordered(a, start)
 
 
-def jacobi_eigensystem(a: np.ndarray, start: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """``unordered_eigensystem`` laid out as ``linalg.eigensystem`` documents:
-    new arrays, lam descending (stable sort), each row's first entry above
-    1e-12 made positive."""
-    lam, q = unordered_eigensystem(a, start)
+def jacobi_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cold ``unordered_eigensystem`` laid out as ``linalg.eigensystem``
+    documents: new arrays, lam descending (stable sort), each row's first
+    entry above 1e-12 made positive."""
+    lam, q = unordered_eigensystem(a)
     order = (-lam).argsort(kind="stable")
     q = q.T[:, order].T
     first = (np.abs(q) > _SIGN_PICK_TOL).argmax(axis=1)

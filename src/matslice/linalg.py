@@ -45,6 +45,14 @@ def as_vector(v, what: str, n: int | None = None) -> np.ndarray:
     return a
 
 
+def as_spectrum(lam, n: int | None = None) -> np.ndarray:
+    """``as_vector`` of a simple spectrum: at least two values, strictly descending."""
+    lam = as_vector(lam, "spectrum", n)
+    if len(lam) < 2 or np.any(np.diff(lam) >= 0.0):
+        raise ValueError("spectrum must list at least two strictly descending values")
+    return lam
+
+
 SYMMETRY_RTOL = 1e-8  # asymmetry beyond this is a caller error, not roundoff
 
 
@@ -239,13 +247,18 @@ def apply_function(s, f: SpectralFunction) -> np.ndarray:
     """``f(s)`` for symmetric ``s``: conjugate ``diag(f(lam))`` back from the eigenbasis.
 
     The identity kind returns the (symmetrized) input unchanged, exactly.
-    Raises DomainViolation when the spectrum leaves the domain of ``f``.
+    Raises DomainViolation when the spectrum leaves the domain of ``f`` or
+    ``f(s)`` overflows.
     """
     a = as_symmetric(s)
     if f.kind == "identity":
         return a
     lam, q = kernels.jacobi_eigensystem(a)
-    return symmetrize((q.T * function_values(f, lam)) @ q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fs = symmetrize((q.T * function_values(f, lam)) @ q)
+    if not np.isfinite(fs).all():
+        raise DomainViolation(f"{f.kind} of this matrix overflows double precision")
+    return fs
 
 
 def skew_part(m) -> np.ndarray:

@@ -27,12 +27,13 @@ import numpy as np
 
 from . import kernels
 from .errors import NotIrreducible, TooLarge
-from .linalg import as_symmetric, as_vector, spectral_decompose
+from .linalg import as_spectrum, as_symmetric, as_vector, spectral_decompose
 
 MINOR_TOL = 1e-10
 FEASIBILITY_TOL = 1e-8
 MAJORIZATION_TOL = 1e-9
 MAX_VERTEX_N = 8
+MAX_HULL_N = 16
 _SIMPLEX_COST_TOL = 1e-11
 _SIMPLEX_RATIO_TOL = 1e-12
 
@@ -56,17 +57,10 @@ class VertexSet:
         return len(self.perms)
 
 
-def _as_spectrum(lam) -> np.ndarray:
+def _as_multiset(lam) -> np.ndarray:
     lam = as_vector(lam, "spectrum")
     if len(lam) < 2:
         raise ValueError("need a spectrum with at least two values")
-    return lam
-
-
-def _validate_spectrum(lam) -> np.ndarray:
-    lam = _as_spectrum(lam)
-    if np.any(np.diff(lam) >= 0.0):
-        raise ValueError("spectrum must be strictly descending")
     return lam
 
 
@@ -80,7 +74,7 @@ def _permutations(n: int) -> np.ndarray:
 
 def permutohedron_vertices(lam) -> VertexSet:
     """All n! permutations of a strictly descending spectrum."""
-    return spectral_polytope(_validate_spectrum(lam))
+    return _polytope(as_spectrum(lam))
 
 
 def bfr_map(s) -> np.ndarray:
@@ -131,9 +125,13 @@ def spectral_polytope(lam) -> VertexSet:
     Ties collapse coinciding vertices, so the result can have fewer than n!
     points and a lower affine dimension than the simple-spectrum polytope.
     """
-    lam = _as_spectrum(lam)
+    lam = _as_multiset(lam)
     if np.any(np.diff(lam) > 0.0):
         raise ValueError("spectrum must be non-increasing")
+    return _polytope(lam)
+
+
+def _polytope(lam: np.ndarray) -> VertexSet:  # lam checked non-increasing
     perms = _permutations(len(lam))
     _, first = np.unique(lam[perms], axis=0, return_index=True)
     perms = perms[np.sort(first)]  # one permutation per point, the first
@@ -147,7 +145,7 @@ def majorization_member(point, lam) -> bool:
     sorted descending, stays at or below the matching partial sum of the
     spectrum, with exact equality of the totals.  The spectrum may come in
     any order; both inputs are checked as in ``hull_member``."""
-    lam = _as_spectrum(lam)
+    lam = _as_multiset(lam)
     p = np.sort(as_vector(point, "point", len(lam)))[::-1]
     l = np.sort(lam)[::-1]
     if abs(p.sum() - l.sum()) > MAJORIZATION_TOL * max(1.0, float(np.abs(l).sum())):
@@ -225,14 +223,14 @@ def hull_member(point, lam) -> bool:
     doubly stochastic D?
 
     By Birkhoff-von Neumann that is the same as being a convex combination
-    of the permutations of the spectrum.  The LP has the n^2 entries of D as
-    unknowns and 3n equations, so it is polynomial in n; it keeps the
-    desk-scale cap of the vertex enumerations all the same.
+    of the permutations of the spectrum, which may come in any order, with
+    ties.  The LP has the n^2 entries of D as unknowns and 3n equations, so
+    it is polynomial in n; it refuses n > 16 as past the desk scale.
     """
-    lam = _validate_spectrum(lam)
+    lam = _as_multiset(lam)
     point = as_vector(point, "point", len(lam))
     n = len(lam)
-    if n > MAX_VERTEX_N:
+    if n > MAX_HULL_N:
         raise TooLarge(f"hull test at n = {n} is past the desk scale")
     scale = max(1.0, float(np.abs(lam).max()))
     sums = _sum_rows(n)

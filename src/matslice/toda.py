@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import NotJacobi, NotTridiagonal
+from .errors import DomainViolation, NotJacobi, NotTridiagonal
 from .linalg import (
     SpectralFunction,
     as_symmetric,
@@ -70,7 +70,7 @@ class TodaState:
         return len(self.x)
 
     def centered(self) -> "TodaState":
-        return TodaState(self.x - self.x.mean(), self.y.copy())
+        return trusted(TodaState, x=self.x - self.x.mean(), y=self.y.copy())
 
 
 @dataclass
@@ -149,7 +149,7 @@ def inverse_flaschka(j) -> TodaState:
     x = np.zeros(n)
     x[1:] = -np.cumsum(gaps)
     x -= x.mean()
-    return TodaState(x=x, y=y)
+    return trusted(TodaState, x=x, y=y)
 
 
 def particle_field(state: TodaState) -> tuple[np.ndarray, np.ndarray]:
@@ -172,9 +172,14 @@ def _hamilton_field(n: int):
 
 
 def toda_field(s, g: SpectralFunction) -> np.ndarray:
-    """Lax vector field [s, skew_part(g(s))]; g must be defined on the spectrum."""
+    """Lax vector field [s, skew_part(g(s))]; g must be defined on the spectrum
+    (DomainViolation otherwise, and when the field overflows)."""
     a = as_symmetric(s)
-    return _field(g, len(a))(a, np.empty_like(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _field(g, len(a))(a, np.empty_like(a))
+    if not np.isfinite(out).all():
+        raise DomainViolation(f"the Lax field of {g.kind} overflows double precision")
+    return out
 
 
 def _field(g: SpectralFunction, n: int):

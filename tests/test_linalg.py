@@ -201,8 +201,8 @@ def test_warm_start_gives_the_cold_eigensystem(case):
     lam, q = eigensystem(s)
     _, unrelated = eigensystem(symmetrize(rng.normal(size=(n, n))))
     for start in (np.eye(n), random_orthogonal(n, rng), q, unrelated):
-        lam_w, q_w = kernels.jacobi_eigensystem(s, start)
-        npt.assert_allclose(lam_w, lam, atol=1e-12 * scale)
+        lam_w, q_w = kernels.unordered_eigensystem(s, start)
+        npt.assert_allclose(np.sort(lam_w)[::-1], lam, atol=1e-12 * scale)
         npt.assert_allclose((q_w.T * lam_w) @ q_w, s, atol=1e-12 * scale)
         npt.assert_allclose(q_w @ q_w.T, np.eye(n), atol=1e-13)
 
@@ -218,7 +218,7 @@ def test_near_degenerate_eigensystem_keeps_full_accuracy(case):
     _, start = eigensystem(s + 1e-6 * symmetrize(np.random.default_rng(n).normal(size=(n, n))))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        solves = [kernels.jacobi_eigensystem(s), kernels.jacobi_eigensystem(s, start)]
+        solves = [kernels.jacobi_eigensystem(s), kernels.jacobi_unordered(s, start)]
     for lam, q in solves:
         assert np.all(np.isfinite(lam)) and np.all(np.isfinite(q))
         assert frobenius((q.T * lam) @ q - s) <= kernels.JACOBI_SWEEP_RTOL * frobenius(s)
@@ -251,18 +251,14 @@ def test_unordered_core_takes_a_start_in_any_row_order_and_signs(case):
 @pytest.mark.parametrize("case", [2, 5, 8, *NEAR_DEGENERATE])
 def test_eigensystem_kernel_is_the_core_sorted_and_signed(case):
     s = dense_or_near_degenerate(case)
-    n = len(s)
-    rng = np.random.default_rng(47)
-    _, near = eigensystem(s + 1e-6 * symmetrize(rng.normal(size=(n, n))))
-    for start in (None, near[::-1] * rng.choice([-1.0, 1.0], size=(n, 1))):
-        lam, q = kernels.jacobi_unordered(s, start)
-        order = np.argsort(-lam, kind="stable")
-        # each row's first entry above 1e-12 in magnitude made positive
-        want = np.array([row if row[np.abs(row) > 1e-12][0] > 0.0 else -row
-                         for row in q[order]])
-        got_lam, got_q = kernels.jacobi_eigensystem(s, start)
-        assert got_lam.tobytes() == lam[order].tobytes()
-        assert got_q.tobytes() == want.tobytes()
+    lam, q = kernels.jacobi_unordered(s)
+    order = np.argsort(-lam, kind="stable")
+    # each row's first entry above 1e-12 in magnitude made positive
+    want = np.array([row if row[np.abs(row) > 1e-12][0] > 0.0 else -row
+                     for row in q[order]])
+    got_lam, got_q = kernels.jacobi_eigensystem(s)
+    assert got_lam.tobytes() == lam[order].tobytes()
+    assert got_q.tobytes() == want.tobytes()
 
 
 def test_eigensystem_row_sign_convention():
@@ -446,6 +442,18 @@ def test_apply_function_matches_lapack_route():
         got = apply_function(s, SpectralFunction.exp())
         want = matrix_function_oracle(s, np.exp)
         npt.assert_allclose(got, want, atol=1e-11 * max(1.0, frobenius(want)))
+
+
+@pytest.mark.parametrize("scale, spectrum, f", [
+    (1e200, [17.0, 9.0, 4.0, 1.0], SpectralFunction.power(2)),
+    (1.0, [720.0, 715.0, 712.0, 711.0], SpectralFunction.exp()),
+], ids=["pow:2 of 1e200 J", "exp past 709.8"])
+def test_apply_function_refuses_an_overflowing_result(scale, spectrum, f):
+    # f(S) used to overflow with a RuntimeWarning and come back inf and NaN
+    s = scale * random_jacobi(4, np.random.default_rng(3), spectrum=spectrum)
+    with warnings.catch_warnings(), pytest.raises(DomainViolation, match="overflows"):
+        warnings.simplefilter("error", RuntimeWarning)
+        apply_function(s, f)
 
 
 def test_apply_function_validates_once(monkeypatch):

@@ -302,6 +302,28 @@ def test_hull_and_majorization_agree_on_random_points():
     assert 0 < insides < total  # both answers actually exercised
 
 
+def test_hull_member_takes_permuted_and_tied_spectra_as_majorization_does():
+    # membership in conv{pi lam} depends on the multiset of lam alone
+    # (Hardy-Littlewood-Polya); the LP used to refuse all but strictly
+    # descending spectra
+    rng = np.random.default_rng(811)
+    answers = []
+    for n in range(2, 9):
+        for _ in range(15):
+            values = rng.uniform(-2.0, 4.0, size=n)
+            lam = values if rng.random() < 0.3 else rng.choice(values[:3], size=n)  # ties
+            vertices = np.array([lam[rng.permutation(n)] for _ in range(4)])
+            noise = rng.normal(size=n)
+            for point in (rng.dirichlet(np.ones(4)) @ vertices,  # inside
+                          noise + (lam.sum() - noise.sum()) / n,  # sum-matched, either side
+                          vertices[0] + 0.2 * (vertices[0] - lam.mean())):  # a vertex pushed out
+                a = hull_member(point, lam)
+                assert a is majorization_member(point, lam)
+                assert a is hull_member(point, np.sort(lam)[::-1])
+                answers.append(a)
+    assert 0 < sum(answers) < len(answers)
+
+
 def test_schur_horn_diagonals_are_members():
     rng = np.random.default_rng(757)
     lam = np.array([3.0, 1.5, 0.5, -1.0])
@@ -330,7 +352,7 @@ def test_hull_member_guards():
     with pytest.raises(ValueError):
         hull_member(np.array([1.0, 1.0, 1.0]), lam)
     with pytest.raises(TooLarge):
-        hull_member(np.zeros(9), np.arange(9.0)[::-1])
+        hull_member(np.zeros(17), np.arange(17.0)[::-1])
 
 
 def test_hull_member_refuses_nonfinite_points():
@@ -483,9 +505,8 @@ def test_hull_lp_on_degenerate_points(bland_pivots):
                 assert hull_member(point, lam) is inside
 
 
-def test_hull_member_past_the_cap_agrees_with_majorization(monkeypatch):
-    # the cap stays at 8; the LP itself is polynomial in n
-    monkeypatch.setattr(polytope, "MAX_VERTEX_N", 16)
+def test_hull_member_past_the_cap_agrees_with_majorization():
+    # past the vertex-listing cap of 8, up to the LP's own cap of 16
     rng = np.random.default_rng(787)
     for n in (12, 16):
         lam = -np.cumsum(rng.uniform(0.3, 1.0, size=n))

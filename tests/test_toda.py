@@ -256,6 +256,18 @@ def test_field_of_a_negative_power_still_checks_the_spectrum():
         toda_field(s, SpectralFunction.power(-1))
 
 
+@pytest.mark.parametrize("scale, spectrum, g", [
+    (1e200, [17.0, 9.0, 4.0, 1.0], SpectralFunction.power(2)),
+    (1.0, [720.0, 715.0, 712.0, 711.0], SpectralFunction.exp()),
+], ids=["pow:2 of 1e200 J (Horner)", "exp past 709.8"])
+def test_field_refuses_an_overflowing_result(scale, spectrum, g):
+    # the field used to overflow with a RuntimeWarning and come back inf and NaN
+    s = scale * random_jacobi(4, np.random.default_rng(3), spectrum=spectrum)
+    with warnings.catch_warnings(), pytest.raises(DomainViolation, match="overflows"):
+        warnings.simplefilter("error", RuntimeWarning)
+        toda_field(s, g)
+
+
 # ---------------------------------------------------------- factorized flow
 
 def test_flow_time_zero_is_identity():
