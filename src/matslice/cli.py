@@ -30,7 +30,7 @@ from .generate import (
     random_symmetric,
 )
 from .jacobi import moser_coordinates, moser_reconstruct
-from .linalg import SpectralFunction, as_spectrum, frobenius, qr_factor
+from .linalg import SpectralFunction, as_spectrum, frobenius, qr_factor, spectral_decompose
 from .polytope import accessible_vertices, bfr_map, permutohedron_vertices
 from .slices import functional_step, iterate_qr
 from .toda import (
@@ -192,9 +192,7 @@ def _cmd_bfr(args) -> int:
 
 def _cmd_polytope(args) -> int:
     s = fileio.read_matrix(_src(args.infile))
-    vs = accessible_vertices(s)
-    if args.full:
-        vs = permutohedron_vertices(vs.lam)
+    vs = permutohedron_vertices(spectral_decompose(s).lam) if args.full else accessible_vertices(s)
     fileio.write_vertex_set(vs, _dst(args.out))
     if args.projection:
         fileio.write_projection_csv(vs, _dst(args.projection))
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("polytope", _cmd_polytope, "accessible vertices of the spectral polytope")
     p.add_argument("--out", default="-")
     p.add_argument("--full", action="store_true",
-                   help="emit every permutation vertex instead")
+                   help="emit every permutation vertex instead (needs only a simple spectrum)")
     p.add_argument("--projection",
                    help="optional CSV of vertex coordinates in the "
                         "sum-zero hyperplane")
@@ -286,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_DIMENSION, default=4)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--spectrum", type=parse_spectrum, default=None,
-                   help="comma-separated descending values (jacobi kind only)")
+                   help="comma-separated descending values (jacobi kind only); "
+                        "write a leading negative value as --spectrum=-1,-2,-3")
     p.add_argument("--out", default="-")
     p.set_defaults(handler=_cmd_random)
 

@@ -64,9 +64,9 @@ def frobenius(m) -> float:
 
 
 def symmetrize(m) -> np.ndarray:
-    """Average a matrix with its transpose (exact for already-symmetric input)."""
+    """0.5 a + 0.5 a.T, the average with the transpose: exact for symmetric a, never overflows."""
     a = np.asarray(m, dtype=float)
-    return 0.5 * (a + a.T)
+    return 0.5 * a + 0.5 * a.T
 
 
 def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

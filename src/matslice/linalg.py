@@ -59,16 +59,17 @@ SYMMETRY_RTOL = 1e-8  # asymmetry beyond this is a caller error, not roundoff
 def as_symmetric(m) -> np.ndarray:
     """Validated square matrix, symmetrized to clean up roundoff.
 
-    Genuinely asymmetric input (relative asymmetry above SYMMETRY_RTOL) is
-    rejected rather than silently averaged.
+    Genuinely asymmetric input (max|a - a.T| above SYMMETRY_RTOL * max|a|,
+    the same at every scale) is rejected rather than silently
+    averaged.  Check and average work on halves, which cannot overflow.
     """
-    a = as_square(m)
-    gap = float(np.abs(a - a.T).max())
-    if gap > SYMMETRY_RTOL * max(1.0, float(np.abs(a).max())):
+    half = 0.5 * as_square(m)
+    gap, top = float(np.abs(half - half.T).max()), float(np.abs(half).max())
+    if gap > SYMMETRY_RTOL * top:
         raise ValueError(
-            f"matrix is not symmetric (asymmetry {gap:.3e}); refusing to average it away"
+            f"matrix is not symmetric (relative asymmetry {gap / top:.3e}); refusing to average it"
         )
-    return symmetrize(a)
+    return half + half.T  # bitwise symmetrize(a)
 
 
 def offdiag_norm(s) -> float:

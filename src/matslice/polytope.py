@@ -142,15 +142,16 @@ def _polytope(lam: np.ndarray) -> VertexSet:  # lam checked non-increasing
 
 def majorization_member(point, lam) -> bool:
     """Hull membership by sorted prefix sums: every partial sum of the point,
-    sorted descending, stays at or below the matching partial sum of the
-    spectrum, with exact equality of the totals.  The spectrum may come in
-    any order; both inputs are checked as in ``hull_member``."""
+    sorted descending, stays at most 1e-9 * max|lam| above the matching one of
+    the spectrum, and the totals agree within 1e-9 * sum|lam| (so lam = 0
+    admits only p = 0).  The spectrum may come in any order; both inputs are
+    checked as in ``hull_member``."""
     lam = _as_multiset(lam)
     p = np.sort(as_vector(point, "point", len(lam)))[::-1]
     l = np.sort(lam)[::-1]
-    if abs(p.sum() - l.sum()) > MAJORIZATION_TOL * max(1.0, float(np.abs(l).sum())):
+    if abs(p.sum() - l.sum()) > MAJORIZATION_TOL * float(np.abs(l).sum()):
         return False
-    slack = MAJORIZATION_TOL * max(1.0, float(np.abs(l).max()))
+    slack = MAJORIZATION_TOL * float(np.abs(l).max())
     return bool(np.all(np.cumsum(p) <= np.cumsum(l) + slack))
 
 
@@ -225,14 +226,15 @@ def hull_member(point, lam) -> bool:
     By Birkhoff-von Neumann that is the same as being a convex combination
     of the permutations of the spectrum, which may come in any order, with
     ties.  The LP has the n^2 entries of D as unknowns and 3n equations, so
-    it is polynomial in n; it refuses n > 16 as past the desk scale.
+    it is polynomial in n; it refuses n > 16 as past the desk scale.  Its data
+    are divided by max(max|lam|, max|p|), so lam = 0 admits only p = 0.
     """
     lam = _as_multiset(lam)
     point = as_vector(point, "point", len(lam))
     n = len(lam)
     if n > MAX_HULL_N:
         raise TooLarge(f"hull test at n = {n} is past the desk scale")
-    scale = max(1.0, float(np.abs(lam).max()))
+    scale = max(float(np.abs(lam).max()), float(np.abs(point).max())) or 1.0
     sums = _sum_rows(n)
     # unknowns D[i, j] in row-major order; rows: (D lam)_i = p_i, then the
     # row sums and the column sums of D, all equal to 1

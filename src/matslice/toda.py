@@ -45,7 +45,7 @@ from .linalg import (
 from .slices import Trajectory, as_time_grid, trusted, weighted_conjugate
 
 CONVERGED_RTOL = 1e-6
-DEFAULT_BOND_TOL = 1e-8
+BOND_RTOL = 1e-8  # a bond at or below this times ||S|| counts as broken
 
 
 @dataclass
@@ -70,7 +70,9 @@ class TodaState:
         return len(self.x)
 
     def centered(self) -> "TodaState":
-        return trusted(TodaState, x=self.x - self.x.mean(), y=self.y.copy())
+        e = kernels.binade(self.x)  # the mean of x / 2^e, scaled back, cannot overflow
+        mean = np.ldexp(np.ldexp(self.x, -e).mean(), e)
+        return trusted(TodaState, x=self.x - mean, y=self.y.copy())
 
 
 @dataclass
@@ -346,7 +348,7 @@ def particle_flow(state0: TodaState, t_final: float, dt: float) -> ParticleTraje
 
 
 def detect_clusters(s) -> ClusterPartition:
-    """Split a tridiagonal matrix into blocks where |bond| < 1e-8.
+    """Split a tridiagonal matrix into blocks at its bonds |b| <= 1e-8 * ||s|| (all, for s = 0).
 
     Raises NotTridiagonal for input with entries outside the band.
     """
@@ -359,7 +361,7 @@ def detect_clusters(s) -> ClusterPartition:
 
 
 def _broken_bonds(a: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(k) for k in np.flatnonzero(np.abs(np.diag(a, 1)) < DEFAULT_BOND_TOL))
+    return tuple(np.flatnonzero(np.abs(np.diag(a, 1)) <= BOND_RTOL * frobenius(a)).tolist())
 
 
 @dataclass
@@ -369,6 +371,7 @@ class ConvergenceReport:
     ``converged`` refers to the final sample: off-diagonal Frobenius norm
     below 1e-6 * ||first state||.  ``diagonal_order`` matches the final
     diagonal against the descending spectrum (a permutation, 0-based).
+    ``broken_bonds`` are the final state's, as ``detect_clusters`` finds them.
     """
 
     times: np.ndarray

@@ -170,6 +170,17 @@ def test_polytope_full_and_projection(tmp_path, jacobi_file):
     assert len(read_vertex_set(full_p).perms) == 24
 
 
+def test_polytope_full_on_reducible_input(tmp_path):
+    # --full needs only a simple spectrum; it used to exit 1 with NotIrreducible
+    src, dst = tmp_path / "d.json", tmp_path / "full.json"
+    write_matrix(np.diag([3.0, 2.0, 1.0]), src)
+    assert run("polytope", "--in", src, "--out", dst, "--full") == 0
+    vs = read_vertex_set(dst)
+    assert len(vs.perms) == 6
+    npt.assert_array_equal(vs.lam, [3.0, 2.0, 1.0])
+    assert run("polytope", "--in", src, "--out", dst) == 1  # accessibility still refuses
+
+
 def test_random_outputs_are_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     for p in (p1, p2):
@@ -326,6 +337,19 @@ def test_non_finite_spectrum_is_bad_usage(tmp_path, capsys, spectrum):
                "--out", out) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_random_help_names_the_equals_form_for_negative_spectra(tmp_path, capsys, monkeypatch):
+    # argparse reads a separate "-1,-2,-3" as an option, so that call exits 2
+    monkeypatch.setenv("COLUMNS", "100")
+    assert main(["random", "--help"]) == 0
+    assert "--spectrum=-1,-2,-3" in capsys.readouterr().out
+    out = tmp_path / "j.json"
+    assert run("random", "--kind", "jacobi", "--n", "3", "--spectrum", "-1,-2,-3",
+               "--out", out) == 2
+    assert run("random", "--kind", "jacobi", "--n", "3", "--spectrum=-1,-2,-3",
+               "--out", out) == 0
+    npt.assert_allclose(np.linalg.eigvalsh(read_matrix(out)), [-3.0, -2.0, -1.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "jacobi", "spectrum"])

@@ -1,8 +1,11 @@
-"""Results scale with the input, from 1e-170 to 1e160.
+"""Results scale with the input, from 1e-170 to 1e160; decisions hold from
+2^-500 to 2^500.
 
 Every operation here is positively homogeneous.  The kernels divide by a
 power of two of max|entry| on entry (exact) and scale back on exit, so
-neither a norm nor a tolerance can underflow or overflow on the way.
+neither a norm nor a tolerance can underflow or overflow on the way.  Every
+threshold is relative to its input's own scale, so every yes/no answer is
+the same for c * S as for S.
 """
 
 import math
@@ -13,12 +16,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import golden_matrix
 from matslice import (
+    MatSliceError,
+    TodaState,
+    accessible_vertices,
+    as_symmetric,
     bfr_map,
+    convergence_diagnostics,
     default_rng,
     descending_spectrum,
+    detect_clusters,
     eigensystem,
     frobenius,
+    hull_member,
+    is_irreducible,
+    is_jacobi,
+    is_tridiagonal,
+    iterate_qr,
+    majorization_member,
     moser_coordinates,
     moser_reconstruct,
     offdiag_norm,
@@ -122,3 +138,115 @@ def test_results_are_invariant_across_scales(seed, n, exponent):
     assert np.all(np.isfinite(step))
     npt.assert_allclose(step, c * qr_step(s), rtol=0.0, atol=1e-12 * c * frobenius(s))
     npt.assert_allclose(spectral_decompose(c * s).lam, lam_c, rtol=0.0, atol=0.0)
+
+
+# ------------------------------------------------- decisions at every scale
+
+DECISION_SCALES = [2.0 ** -500, 1e-170, 1e-150, 1e-12, 1.0, 1e150, 1e160, 2.0 ** 500]
+DECISION_IDS = ["2^-500", "1e-170", "1e-150", "1e-12", "1", "1e150", "1e160", "2^500"]
+
+BONDS = np.array([0.5, 1e-12, 0.3])  # the middle bond is broken: below 1e-8 * ||J||
+WEAK_BOND = np.diag([4.0, 3.0, 2.0, 1.0]) + np.diag(BONDS, 1) + np.diag(BONDS, -1)
+FAINT_BAND = WEAK_BOND + 1e-14 * (np.eye(4, k=2) + np.eye(4, k=-2))
+WIDE_BAND = WEAK_BOND + 1e-6 * (np.eye(4, k=2) + np.eye(4, k=-2))
+NEGATIVE_BONDS = S3 - 2.0 * (np.eye(3, k=1) + np.eye(3, k=-1))
+FAINT = np.array([1.0, 1e-14, 1.0])
+DECOUPLED = S3 * np.outer(FAINT, FAINT)  # index 1 coupled by 1e-14 only
+ASYM = np.triu(np.ones((3, 3)), 1)
+LAM = np.array([3.0, 2.0, 1.0])
+
+
+def refusal(fn, *args):
+    """Name of the error ``fn(*args)`` raises, or None when it returns."""
+    try:
+        fn(*args)
+    except (MatSliceError, ValueError) as exc:
+        return type(exc).__name__
+    return None
+
+
+def diagnostics(s, steps):
+    rep = convergence_diagnostics(iterate_qr(s, steps))
+    return rep.converged, rep.diagonal_order, rep.broken_bonds
+
+
+# (public decision, its answer on c times the input, the answer at c = 1)
+DECISIONS = [
+    ("is_tridiagonal faint", lambda c: is_tridiagonal(c * FAINT_BAND), True),
+    ("is_tridiagonal wide", lambda c: is_tridiagonal(c * WIDE_BAND), False),
+    ("is_jacobi", lambda c: is_jacobi(c * WEAK_BOND), True),
+    ("is_jacobi negative bonds", lambda c: is_jacobi(c * NEGATIVE_BONDS), False),
+    ("is_irreducible", lambda c: is_irreducible(c * S3), True),
+    ("is_irreducible decoupled", lambda c: is_irreducible(c * DECOUPLED), False),
+    ("as_symmetric roundoff", lambda c: refusal(as_symmetric, c * (S3 + 1e-10 * ASYM)), None),
+    ("as_symmetric asymmetric", lambda c: refusal(as_symmetric, c * (S3 + 1e-6 * ASYM)),
+     "ValueError"),
+    ("qr_factor", lambda c: refusal(qr_factor, c * S3), None),
+    ("qr_factor singular", lambda c: refusal(qr_factor, c * np.ones((3, 3))), "SingularMatrix"),
+    ("spectral_decompose", lambda c: refusal(spectral_decompose, c * S3), None),
+    ("spectral_decompose tie", lambda c: refusal(spectral_decompose, c * np.diag([2.0, 1.0, 1.0])),
+     "DegenerateSpectrum"),
+    ("hull_member inside", lambda c: hull_member(c * np.array([2.5, 2.0, 1.5]), c * LAM), True),
+    ("hull_member vertex", lambda c: hull_member(c * LAM[::-1], c * LAM), True),
+    ("hull_member outside", lambda c: hull_member(c * np.array([3.5, 1.5, 1.0]), c * LAM), False),
+    ("majorization_member inside",
+     lambda c: majorization_member(c * np.array([2.5, 2.0, 1.5]), c * LAM), True),
+    ("majorization_member vertex", lambda c: majorization_member(c * LAM[::-1], c * LAM), True),
+    ("majorization_member outside",
+     lambda c: majorization_member(c * np.array([3.5, 1.5, 1.0]), c * LAM), False),
+    ("detect_clusters", lambda c: detect_clusters(c * WEAK_BOND).broken_bonds, (1,)),
+    ("accessible_vertices", lambda c: len(accessible_vertices(c * golden_matrix()[0])), 4),
+    ("convergence_diagnostics early", lambda c: diagnostics(c * S3, 25), (False, (0, 1, 2), (1,))),
+    ("convergence_diagnostics late", lambda c: diagnostics(c * S3, 35), (True, (0, 1, 2), (1,))),
+]
+
+
+@pytest.mark.parametrize("c", DECISION_SCALES, ids=DECISION_IDS)
+def test_every_decision_is_the_same_at_every_scale(c):
+    # absolute floors max(1, .) and an absolute bond threshold made the hull
+    # tests, as_symmetric and detect_clusters answer differently at 1e-12
+    # and the bond counts differently at 1e150
+    wrong = {name: got for name, decide, want in DECISIONS if (got := decide(c)) != want}
+    assert wrong == {}
+
+
+@pytest.mark.parametrize("member", [hull_member, majorization_member])
+def test_zero_spectrum_admits_only_the_zero_point(member):
+    assert member([0.0, 0.0], [0.0, 0.0])
+    assert member([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    assert not member([1e-9, -1e-9], [0.0, 0.0])
+    assert not member([2.0 ** -1000, -(2.0 ** -1000)], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("member", [hull_member, majorization_member])
+def test_far_point_of_a_faint_spectrum_is_outside(member):
+    # the LP divides by max|p| too: p / 1e-300 would overflow
+    assert not member([1e300, -1e300], [1e-300, 0.0])
+    assert member([0.0, 0.0], [1e300, -1e300])
+
+
+def test_every_bond_of_the_zero_matrix_is_broken():
+    part = detect_clusters(np.zeros((3, 3)))
+    assert part.broken_bonds == (0, 1)
+    assert part.blocks == ((0, 1), (1, 2), (2, 3))
+
+
+# ------------------------------------------- the top of the range, 1e308
+
+def test_symmetrize_does_not_overflow_near_the_largest_double():
+    # 0.5 * (a + a.T) overflowed above about 8.99e307: lam came back (inf, 1)
+    lam, _ = eigensystem([[1e308, 1.0], [1.0, 1.0]])
+    npt.assert_allclose(lam, [1e308, 1.0], rtol=1e-15)
+    npt.assert_array_equal(as_symmetric([[1e308, 0.0], [0.0, 1.0]]), [[1e308, 0.0], [0.0, 1.0]])
+
+
+def test_antisymmetric_input_near_the_largest_double_is_refused():
+    with pytest.raises(ValueError, match="not symmetric"):
+        as_symmetric([[0.0, 1e308], [-1e308, 0.0]])
+
+
+def test_centered_mean_does_not_overflow():
+    # the plain mean of (1e308, 1e308) overflows and centred to (-inf, -inf)
+    state = TodaState(x=[1e308, 1e308], y=[1.0, -1.0]).centered()
+    npt.assert_array_equal(state.x, [0.0, 0.0])
+    npt.assert_array_equal(state.y, [1.0, -1.0])
