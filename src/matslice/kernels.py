@@ -3,8 +3,9 @@
 Nothing here validates.  A kernel expects what its public caller checked
 once: a finite square float array, n >= 2, exactly symmetric where it reads
 a symmetric matrix.  The eigensolver is deliberately *not* QR-based, since QR
-iteration is one of the objects under study: Jacobi rotation sweeps, finished
-by Cayley steps once the iterate is diagonally dominant.  Its core,
+iteration is one of the objects under study: simultaneous Jacobi steps, each
+one Cayley transform over every pair, with rotation sweeps as their fallback
+where a step does not halve the off-diagonal norm.  Its core,
 ``jacobi_unordered``, leaves the eigensystem in the order its passes give;
 ``jacobi_eigensystem`` sorts it and fixes the signs.  Cold solves are
 memoized by the exact bytes of the matrix, for the 8 most recent matrices per
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
 # LAPACK gesv: the gufunc np.linalg.solve calls after its per-call type checks
@@ -35,9 +35,9 @@ JACOBI_SWEEP_RTOL = 1e-13    # off-diagonal Frobenius target of the eigensolver
 SIMPLE_SPECTRUM_RTOL = 1e-9  # minimum eigenvalue gap counted as "simple"
 TRIDIAG_RTOL = 1e-12         # band check tolerance, relative to ||s||
 IRREDUCIBLE_RTOL = 1e-12     # off-diagonal coupling threshold for the adjacency graph
-CAYLEY_GATE = 0.25           # off-diagonal norm / smallest diagonal gap that admits a Cayley step
+CONTRACTION = 0.5            # off-diagonal norm ratio at or below which a Cayley step is kept
 COLD_MEMO_SIZE = 8           # most recent cold eigensystems kept per process
-_MAX_SWEEPS = 50             # passes (sweeps or Cayley steps) before giving up
+_MAX_SWEEPS = 50             # passes (kept Cayley steps or sweeps) before giving up
 _SIGN_PICK_TOL = 1e-12       # "first nonzero" cutoff for the eigenvector sign fix
 
 
@@ -158,22 +158,27 @@ def _sweep(a: np.ndarray, v: np.ndarray, eye: np.ndarray
 
 def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric eigensystem ``a = q.T @ diag(lam) @ q`` by round-robin Jacobi
-    rotations finished by Cayley steps, in the order and with the row signs
-    the passes leave: lam is the diagonal of the last iterate.
+    """Symmetric eigensystem ``a = q.T @ diag(lam) @ q`` by simultaneous
+    Jacobi steps, with round-robin sweeps as their fallback, in the order and
+    with the row signs the passes leave: lam is the diagonal of the last
+    iterate.
 
     Works on a / 2^e until the off-diagonal norm drops below
-    ``1e-13 * ||a||``, at most 50 passes.  A pass is one rotation sweep,
-    unless the off-diagonal norm is at most 1/4 of the smallest gap between
-    diagonal entries: then it is one Cayley step a <- w a w.T, v <- v w.T,
-    w = (I - k/2)^-1 (I + k/2) by LAPACK's LU, with the exactly
-    antisymmetric k_ij = a_ij / (a_ii - a_jj) = -k_ji (i < j) built from the
-    upper triangle.  ||k|| <= 1/4 then, and the step leaves an off-diagonal of
-    order ||off||^2 / gap (quadratic convergence, as in eigenvector
-    refinement from an approximate basis).  ``start``, an orthogonal matrix
-    whose rows nearly diagonalize ``a`` in any order and with any signs (the
-    q of a nearby matrix), warm-starts from ``start @ a @ start.T``: the
-    same eigensystem to roundoff, mostly by Cayley steps alone.  One
+    ``1e-13 * ||a||``, at most 50 passes.  A pass takes, for every pair
+    p < t at once, the inner angle phi (|phi| <= pi/4) that zeroes the pair
+    in its own 2 x 2 block, the angle a sweep takes, and applies them all as
+    one Cayley transform a <- w.T a w, v <- v w, w = (I - g/2)^-1 (I + g/2)
+    by LAPACK's LU, with the exactly antisymmetric g_pt = 2 tan(phi/2) =
+    -g_tp built from the upper triangle (for one pair, w is that pair's
+    rotation).  The step is kept when it at least halves the off-diagonal
+    norm (``CONTRACTION``); otherwise it is dropped and the pass is one
+    rotation sweep instead.  Near convergence g is -a_pt / (a_pp - a_tt) to
+    first order, so the steps leave an off-diagonal of order
+    ||off||^2 / gap (quadratic convergence, as in eigenvector refinement
+    from an approximate basis).  ``start``, an orthogonal matrix whose rows
+    nearly diagonalize ``a`` in any order and with any signs (the q of a
+    nearby matrix), warm-starts from ``start @ a @ start.T``: the same
+    eigensystem to roundoff, mostly by Cayley steps alone.  One
     Newton-Schulz step first squares the start's distance from orthogonal,
     so a chain of starts, each the last result, cannot drift.
     """
@@ -189,25 +194,26 @@ def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
         v = u.T.copy()
     m = len(rows)
     upper, lower = off[:m], off[m:]
-    plus = eye.copy()  # I + k/2 of each Cayley step; its transpose is I - k/2
+    plus = eye.copy()  # I + g/2 of each Cayley step; its transpose is I - g/2
     # max|a| < 1 now, so the plain norm is safe (in any order: a is symmetric)
     tol2 = (JACOBI_SWEEP_RTOL * math.sqrt((flat := a.ravel()).dot(flat))) ** 2
+    off2 = (x := a.take(off)).dot(x)
     passes = 0
-    while (off2 := (x := a.take(off)).dot(x)) > tol2:
+    while off2 > tol2:
         if passes >= _MAX_SWEEPS:
             raise ArithmeticError("Jacobi eigensolver failed to converge")
         d = a.diagonal()
-        ranked = sorted(d.tolist())  # finite, so Python's min is numpy's, and quicker
-        # off2 > 0 here, so the gate also refuses a zero gap
-        if off2 <= (CAYLEY_GATE * min(map(operator.sub, ranked[1:], ranked[:-1]))) ** 2:
-            half = 0.5 * x[:m] / (d[rows] - d[cols])  # k/2 above the diagonal
-            plus.put(upper, 0.0 + half)  # the zero signs of eye + k/2 - k.T/2
-            plus.put(lower, 0.0 - half)
-            w = _gesv(plus.T, plus, signature="dd->d")  # np.linalg.solve, bitwise
-            a = w @ a @ w.T
-            v = v @ w.T
+        gap = d[cols] - d[rows]
+        half = np.tan(0.25 * np.arctan2(x[:m] * np.copysign(2.0, gap), np.abs(gap)))
+        plus.put(upper, 0.0 + half)  # the zero signs of eye + g/2 - g.T/2
+        plus.put(lower, 0.0 - half)
+        w = _gesv(plus.T, plus, signature="dd->d")  # np.linalg.solve, bitwise
+        b = w.T @ a @ w
+        if (step2 := (y := b.take(off)).dot(y)) <= (CONTRACTION ** 2) * off2:
+            a, v, x, off2 = b, v @ w, y, step2
         else:
             a, v = _sweep(a, v, eye)
+            off2 = (x := a.take(off)).dot(x)
         passes += 1
     return np.ldexp(a.diagonal(), e), v.T
 

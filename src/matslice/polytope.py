@@ -145,10 +145,13 @@ def majorization_member(point, lam) -> bool:
     sorted descending, stays at most 1e-9 * max|lam| above the matching one of
     the spectrum, and the totals agree within 1e-9 * sum|lam| (so lam = 0
     admits only p = 0).  The spectrum may come in any order; both inputs are
-    checked as in ``hull_member``."""
+    checked as in ``hull_member``, and divided by 2^``binade`` of both (exact)
+    so no sum overflows."""
     lam = _as_multiset(lam)
-    p = np.sort(as_vector(point, "point", len(lam)))[::-1]
-    l = np.sort(lam)[::-1]
+    point = as_vector(point, "point", len(lam))
+    e = kernels.binade(np.concatenate((point, lam)))
+    p = np.ldexp(np.sort(point)[::-1], -e)
+    l = np.ldexp(np.sort(lam)[::-1], -e)
     if abs(p.sum() - l.sum()) > MAJORIZATION_TOL * float(np.abs(l).sum()):
         return False
     slack = MAJORIZATION_TOL * float(np.abs(l).max())

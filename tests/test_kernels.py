@@ -167,7 +167,8 @@ def test_warm_flow_solves_finish_by_cayley_steps_alone(sweeps):
 
 
 def test_cold_solve_hands_over_to_cayley_steps(sweeps):
-    # rotations alone take 5 sweeps on this matrix
+    # rotations alone take 5 sweeps on this matrix; the Cayley steps of
+    # every pair at once leave 1 (the Cayley finish before them left 3)
     kernels.jacobi_eigensystem(random_symmetric(8, default_rng(8)))
     assert sweeps[0][1] < 5
 
@@ -178,7 +179,7 @@ def test_pass_cap_bounds_cayley_steps(sweeps, monkeypatch):
     monkeypatch.setattr(kernels, "_MAX_SWEEPS", 1)
     with pytest.raises(ArithmeticError):
         kernels.unordered_eigensystem(a, start)
-    assert sweeps[-1] == [True, 0]  # its one pass was a Cayley step, not enough
+    assert sweeps[-1] == [True, 0]  # its one pass was a kept Cayley step, not enough
 
 
 def test_warm_start_restores_an_orthogonal_start():
@@ -193,6 +194,55 @@ def test_warm_start_restores_an_orthogonal_start():
         warm_lam, warm_q = kernels.jacobi_unordered(a, q + 1e-6 * rng.normal(size=(n, n)))
         assert np.abs(np.sort(warm_lam)[::-1] - lam).max() <= 1e-9 * kernels.frobenius(a)
         assert np.abs(warm_q @ warm_q.T - np.eye(n)).max() <= 1e-9
+
+
+# -- the eigensolver on hard spectra --------------------------------------------
+
+def conjugated(lam, rng):
+    """q diag(lam) q.T for a Gaussian orthogonal q, made exactly symmetric."""
+    q = np.linalg.qr(rng.normal(size=(len(lam), len(lam))))[0]
+    return kernels.symmetrize((q * lam) @ q.T)
+
+
+def wilkinson(n, rng):
+    """W+_n: diagonal |i - (n - 1)/2|, unit off-diagonals; near-double pairs."""
+    return kernels.tridiagonal(np.abs(np.arange(n) - 0.5 * (n - 1)), np.ones(n - 1))
+
+
+STRESS_FAMILIES = {
+    "dense": random_symmetric,
+    "clustered": lambda n, rng: conjugated(np.resize([1.0, 1.0 + 1e-9, 2.0, -3.0], n), rng),
+    "graded": lambda n, rng: (g := 2.0 ** (-40.0 / n * np.arange(n)))[:, None]
+    * random_symmetric(n, rng) * g,
+    "log-spread": lambda n, rng: conjugated(
+        rng.choice([-1.0, 1.0], n) * np.logspace(0.0, -12.0, n), rng),
+    "near-double": lambda n, rng: conjugated(
+        np.resize(np.linspace(1.0, 2.0, (n + 1) // 2), n) + 1e-8 * (np.arange(n) % 2), rng),
+    "wilkinson": wilkinson,
+    "identity-plus-rank-one": lambda n, rng: np.eye(n) + np.outer(v := rng.normal(size=n), v),
+}
+
+
+def assert_eigensystem(a, lam, q):
+    # within 1e-12 * max|a| of LAPACK's eigenvalues (a test-only reference),
+    # of a itself and of an orthogonal q
+    scale = np.abs(a).max()
+    assert np.abs(np.sort(lam) - np.linalg.eigvalsh(a)).max() <= 1e-12 * scale
+    assert np.abs((q.T * lam) @ q - a).max() <= 1e-12 * scale
+    assert np.abs(q @ q.T - np.eye(len(a))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("family", STRESS_FAMILIES)
+def test_cold_and_warm_solves_of_hard_spectra(family, monkeypatch):
+    # cold, then warm from the eigenbasis of a 1e-6 * max|a| perturbation;
+    # the pass cap lowered to 40 counts the solver's own passes
+    monkeypatch.setattr(kernels, "_MAX_SWEEPS", 40)
+    rng = default_rng(1234)
+    for n in [*range(2, 13), 16, 32, 64]:
+        a = STRESS_FAMILIES[family](n, rng)
+        assert_eigensystem(a, *kernels.jacobi_unordered(a))
+        near = a + 1e-6 * np.abs(a).max() * random_symmetric(n, rng)
+        assert_eigensystem(a, *kernels.jacobi_unordered(a, kernels.jacobi_unordered(near)[1]))
 
 
 # -- the memo of cold eigensolves ----------------------------------------------
@@ -303,12 +353,13 @@ def test_flow_spectral_task_runs_one_cold_solve(sweeps):
     assert memo() == (5, 1, 1)
 
 
-# -- the Cayley step's lean build ------------------------------------------------
+# -- the simultaneous Jacobi step's lean build ------------------------------------
 
 def reference_unordered(a, start=None):
-    """The eigensolver as written before its Cayley step was trimmed: a zero
-    matrix filled above the diagonal, I + k/2 as eye + half - half.T, numpy's
-    solve, ``@`` for the off-diagonal norm."""
+    """The eigensolver's pass rule written plainly: the inner angle of every
+    pair, an explicit antisymmetric g = 2 tan(phi/2), I + g/2 as
+    eye + g/2 - g.T/2, numpy's solve, ``@`` for the off-diagonal norms;
+    a step that does not halve that norm gives way to one sweep."""
     n = a.shape[0]
     eye, _, rows, cols, off = kernels.solver_layout(n)
     e = kernels.binade(a)
@@ -324,14 +375,15 @@ def reference_unordered(a, start=None):
     tol2 = (kernels.JACOBI_SWEEP_RTOL * math.sqrt(flat @ flat)) ** 2
     while (off2 := (x := a.take(off)) @ x) > tol2:
         d = a.diagonal()
-        ranked = np.sort(d)
-        if off2 <= (kernels.CAYLEY_GATE * (ranked[1:] - ranked[:-1]).min()) ** 2:
-            half = np.zeros((n, n))
-            half.put(off[:m], 0.5 * x[:m] / (d[rows] - d[cols]))
-            plus = eye + half - half.T
-            w = np.linalg.solve(plus.T, plus)
-            a = w @ a @ w.T
-            v = v @ w.T
+        gap = d[cols] - d[rows]
+        phi = 0.5 * np.arctan2(np.copysign(2.0, gap) * x[:m], np.abs(gap))
+        g = np.zeros((n, n))
+        g.put(off[:m], 2.0 * np.tan(0.5 * phi))
+        plus = eye + 0.5 * g - 0.5 * g.T
+        w = np.linalg.solve(plus.T, plus)
+        b = w.T @ a @ w
+        if (y := b.take(off)) @ y <= (kernels.CONTRACTION * kernels.CONTRACTION) * off2:
+            a, v = b, v @ w
         else:
             a, v = kernels._sweep(a, v, eye)
     return np.ldexp(a.diagonal(), e), v.T

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -255,6 +256,18 @@ def test_membership_edge_and_near_vertex_points():
     assert hull_member(nudged_in, lam) and majorization_member(nudged_in, lam)
     assert not hull_member(pushed_out, lam)
     assert not majorization_member(pushed_out, lam)
+
+
+@pytest.mark.parametrize("point, inside", [
+    ([1e308, 1e308], True),
+    ([1.5e308, 0.5e308], False),
+])
+def test_membership_at_the_top_of_the_double_range(point, inside):
+    # the sums reach 2e308, past the largest double, unless taken of scaled vectors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert majorization_member(point, [1e308, 1e308]) is inside
+        assert hull_member(point, [1e308, 1e308]) is inside
 
 
 @pytest.mark.parametrize("point, lam", [
