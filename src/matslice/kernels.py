@@ -10,12 +10,13 @@ where a step does not halve the off-diagonal norm.  Its core,
 ``jacobi_eigensystem`` sorts it and fixes the signs.  Cold solves are
 memoized by the exact bytes of the matrix, for the 8 most recent matrices per
 process, so repeated calls on one matrix return bitwise-identical results;
-warm starts bypass the memo.  QR is LAPACK's.  Both divide their input by
-2^``binade`` of it (exact) and scale the result back, and the norms do the
-same at extreme scales, so results do not depend on the input's scale.  The
-skew split has two independent builders, ``skew_part`` (``np.tril``) and
-the Lax field's sign matrix ``skew_signs``; ``tridiagonal`` builds every band
-matrix.  Imports nothing of matslice but ``errors``.
+warm starts bypass the memo.  QR is LAPACK's, by numpy's gufuncs.  Both
+divide their input by 2^``binade`` of it (exact) and scale the result back,
+and the norms do the same at extreme scales, so results do not depend on the
+input's scale.  The skew split has two independent builders, ``skew_part``
+(``np.tril``) and the Lax field's sign matrix ``skew_signs``;
+``tridiagonal`` builds every band matrix.  Imports nothing of matslice but
+``errors``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import functools
 import math
 
 import numpy as np
-# LAPACK gesv: the gufunc np.linalg.solve calls after its per-call type checks
-from numpy.linalg._umath_linalg import solve as _gesv
+# LAPACK's geqrf, orgqr and gesv: the gufuncs np.linalg.qr and solve call after their type checks
+from numpy.linalg._umath_linalg import qr_r_raw as _geqrf, qr_reduced as _orgqr, solve as _gesv
 
 from .errors import DegenerateSpectrum, SingularMatrix
 
@@ -72,13 +73,16 @@ def symmetrize(m) -> np.ndarray:
 def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``a = q @ r`` with q orthogonal and r upper triangular, diag(r) >= 0.
 
-    LAPACK's Householder QR (``dgeqrf`` via ``np.linalg.qr``), then a diagonal
-    sign fix (a positive diagonal makes the factorization unique), on a / 2^e,
-    2^e just above max|a|: no column norm overflows, and LAPACK's scale-safe
-    reflector norms keep faint columns (entries near 1e-246) from underflowing.
+    LAPACK's Householder QR (``dgeqrf``, then ``dorgqr`` for q, the gufuncs
+    ``np.linalg.qr`` calls: bitwise its q and r), then a diagonal sign fix (a
+    positive diagonal makes the factorization unique), on a / 2^e, 2^e just
+    above max|a|: no column norm overflows, and LAPACK's scale-safe reflector
+    norms keep faint columns (entries near 1e-246) from underflowing.
     """
     e = binade(a)
-    q, r = np.linalg.qr(np.ldexp(a, -e))
+    m = np.ldexp(a, -e)  # dgeqrf overwrites it: r on and above the diagonal
+    q = _orgqr(m, _geqrf(m, signature="d->d"), signature="dd->d")
+    r = np.triu(m)
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return q * signs, np.ldexp(signs[:, None] * r, e)
 
@@ -151,8 +155,8 @@ def _sweep(a: np.ndarray, v: np.ndarray, eye: np.ndarray
         c, sn = np.cos(phi), np.sin(phi)
         r = eye.copy()
         r.put(write, np.concatenate((c, c, sn, -sn)))
-        a = r.T @ a @ r
-        v = v @ r
+        a = r.T.dot(a).dot(r)
+        v = v.dot(r)
     return a, v
 
 
@@ -189,13 +193,12 @@ def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
     if start is None:
         v = eye.copy()  # the cached identity is shared and read-only
     else:
-        u = start - 0.5 * (start @ start.T - eye) @ start
-        a = symmetrize(u @ a @ u.T)
-        v = u.T.copy()
+        u = start - 0.5 * (start.dot(start.T) - eye).dot(start)
+        a, v = u.dot(a).dot(u.T), u.T  # v is only read: no copy
     m = len(rows)
     upper, lower = off[:m], off[m:]
     plus = eye.copy()  # I + g/2 of each Cayley step; its transpose is I - g/2
-    # max|a| < 1 now, so the plain norm is safe (in any order: a is symmetric)
+    # max|a| < 1 now, so the plain norm is safe
     tol2 = (JACOBI_SWEEP_RTOL * math.sqrt((flat := a.ravel()).dot(flat))) ** 2
     off2 = (x := a.take(off)).dot(x)
     passes = 0
@@ -208,9 +211,9 @@ def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
         plus.put(upper, 0.0 + half)  # the zero signs of eye + g/2 - g.T/2
         plus.put(lower, 0.0 - half)
         w = _gesv(plus.T, plus, signature="dd->d")  # np.linalg.solve, bitwise
-        b = w.T @ a @ w
+        b = w.T.dot(a).dot(w)
         if (step2 := (y := b.take(off)).dot(y)) <= (CONTRACTION ** 2) * off2:
-            a, v, x, off2 = b, v @ w, y, step2
+            a, v, x, off2 = b, v.dot(w), y, step2
         else:
             a, v = _sweep(a, v, eye)
             off2 = (x := a.take(off)).dot(x)

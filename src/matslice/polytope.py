@@ -196,7 +196,7 @@ def _phase1_residual(A: np.ndarray, b: np.ndarray) -> float:
     t[:m] = np.linalg.solve(t[:m, basis], t[:m])
     # phase-1 objective: sum of artificials, written in terms of nonbasics
     t[m, cols:-1] = 1.0
-    t[m] -= t[m, basis] @ t[:m]
+    t[m] -= t[m, basis].dot(t[:m])
     reduced, rhs = t[m, :-1], t[:m, -1]
     degenerate = 0
     for _ in range(500 * t.shape[1]):

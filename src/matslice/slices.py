@@ -94,7 +94,7 @@ def weighted_conjugate(lam, q, u) -> np.ndarray:
     order = np.argsort(-w, kind="stable")
     qtilde, _ = kernels.householder_qr(w[order, None] * q[order, :])
     qf = qtilde[np.argsort(order), :]
-    return symmetrize((qf.T * lam) @ qf)
+    return symmetrize((qf.T * lam).dot(qf))
 
 
 def _step(a: np.ndarray, f: SpectralFunction) -> np.ndarray:
@@ -102,7 +102,7 @@ def _step(a: np.ndarray, f: SpectralFunction) -> np.ndarray:
     every other f by its log-weights, ``SpectralFunction.step_log_weights``."""
     if f.kind == "identity":
         q, r = kernels.invertible_qr(a)
-        return symmetrize(r @ q)
+        return symmetrize(r.dot(q))
     lam, q = kernels.jacobi_eigensystem(a)
     return weighted_conjugate(lam, q, f.step_log_weights(lam))
 

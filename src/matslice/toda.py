@@ -40,7 +40,6 @@ from .linalg import (
     frobenius,
     function_values,
     offdiag_norm,
-    symmetrize,
 )
 from .slices import Trajectory, as_time_grid, trusted, weighted_conjugate
 
@@ -189,7 +188,8 @@ def _field(g: SpectralFunction, n: int):
     ``field(a, out)``: [a, b] = c + c.T for skew b and c = a @ b, as
     (a b).T = -b a for symmetric a: one product, exactly symmetric.  b is
     g(a) * kernels.skew_signs(n), skew_part(g(a)) up to the signs of zeros
-    and g(a)'s roundoff asymmetry; sigma's zero diagonal drops g(0).  So a
+    and g(a)'s roundoff asymmetry (c + c.T is symmetric whatever b, so g(a)
+    is not re-symmetrized); sigma's zero diagonal drops g(0).  So a
     polynomial g (``g.coefficients``: identity, x^k for k >= 0, ``polynomial``)
     goes by Horner on (g(x) - g(0)) / x times a, with no eigensolve: from c_k a,
     one diagonal shift (none for a zero coefficient) and one product by a per
@@ -204,7 +204,7 @@ def _field(g: SpectralFunction, n: int):
     ct = c.T
 
     def lax(a: np.ndarray, ga: np.ndarray, out: np.ndarray):  # out positional: no keyword parsing
-        np.matmul(a, np.multiply(ga, sigma, b), c)
+        np.dot(a, np.multiply(ga, sigma, b), c)
         return np.add(c, ct, out)
 
     coeffs = g.coefficients
@@ -214,7 +214,7 @@ def _field(g: SpectralFunction, n: int):
         def horner(a: np.ndarray, out: np.ndarray):
             ga = a if lead == 1.0 else lead * a
             for c in lower:
-                ga = (ga + c * eye if c else ga) @ a
+                ga = (ga + c * eye if c else ga).dot(a)
             return lax(a, ga, out)
 
         return horner
@@ -223,7 +223,7 @@ def _field(g: SpectralFunction, n: int):
     def field(a: np.ndarray, out: np.ndarray):
         nonlocal basis
         lam, basis = kernels.unordered_eigensystem(a, basis)
-        return lax(a, symmetrize((basis.T * function_values(g, lam)) @ basis), out)
+        return lax(a, (basis.T * function_values(g, lam)).dot(basis), out)
 
     return field
 

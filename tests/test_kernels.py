@@ -92,6 +92,43 @@ def test_householder_qr_of_a_zero_column(k):
     assert r[k, k] == 0.0
 
 
+def numpy_qr_with_sign_fix(a):
+    """``householder_qr`` written plainly: np.linalg.qr of a / 2^binade, then
+    each column of q and row of r whose diagonal entry is negative negated."""
+    e = kernels.binade(a)
+    q, r = np.linalg.qr(np.ldexp(a, -e))
+    flip = np.diag(r) < 0.0
+    q[:, flip] = -q[:, flip]
+    r[flip] = -r[flip]
+    return q, np.ldexp(r, e)
+
+
+def qr_inputs():
+    rng = np.random.default_rng(23)
+    for n in range(2, 33):
+        yield rng.normal(size=(n, n))
+    for k in (0, 2, 5):
+        a = np.random.default_rng(k).normal(size=(6, 6))
+        a[:, k] = 0.0
+        yield a
+    for n in (8, 48):
+        for seed in range(5):  # the faint rows of test_householder_qr_resolves_faint_rows
+            rng = np.random.default_rng(seed)
+            q0, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            w = np.exp(-rng.uniform(0.0, 699.0, size=n))
+            w[:2] = 1.0, math.exp(-699.0)
+            yield w[:, None] * q0
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 500, 2.0 ** -500, 1e-170, 1e160])
+def test_householder_qr_is_bitwise_numpy_qr(scale):
+    # householder_qr calls LAPACK through numpy's private QR gufuncs; this
+    # holds it to the public np.linalg.qr byte for byte
+    for a in qr_inputs():
+        a = scale * a
+        assert as_bytes(kernels.householder_qr(a)) == as_bytes(numpy_qr_with_sign_fix(a))
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 @pytest.mark.parametrize("kind", ["symmetric", "general"])
 def test_skew_part_is_the_strict_lower_triangle_mirrored(kind, n):
@@ -368,7 +405,7 @@ def reference_unordered(a, start=None):
         v = eye.copy()
     else:
         u = start - 0.5 * (start @ start.T - eye) @ start
-        a = kernels.symmetrize(u @ a @ u.T)
+        a = u @ a @ u.T
         v = u.T.copy()
     m = len(rows)
     flat = a.ravel()

@@ -42,7 +42,7 @@ from matslice import (
     toda_field,
 )
 from matslice import kernels, linalg, slices, toda
-from conftest import maxabs
+from conftest import matrix_function_oracle, maxabs
 
 IDENTITY = SpectralFunction.identity()
 SQUARE = SpectralFunction.polynomial([0.0, 0.0, 1.0])
@@ -447,6 +447,35 @@ def test_warm_started_flow_matches_cold_eigensolves(monkeypatch):
     cold = flow_integrated(s, cfg)
     for x, y in zip(warm.states, cold.states):
         assert maxabs(x - y) < 1e-13 * frobenius(s)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 11])
+@pytest.mark.parametrize("shape", ["jacobi", "dense"])
+@pytest.mark.parametrize("kind", ["log", "exp"])
+def test_warm_field_matches_lapack(kind, shape, n, monkeypatch):
+    # every stage input of a warm-started RK4 flow, its field value held
+    # against [z, skew_part(g(z))] with g(z) from LAPACK's eigh
+    rng = np.random.default_rng(n)
+    lam = descending_spectrum(n, rng, lo=0.5, hi=3.5, min_gap=0.05)
+    s = random_jacobi(n, rng, spectrum=lam) if shape == "jacobi" else random_with_spectrum(lam, rng)
+    g, fn = getattr(SpectralFunction, kind)(), getattr(np, kind)
+    rk4, stages = toda._rk4, []
+
+    def recording(field, z, times):
+        def spy(a, out):
+            field(a, out)
+            stages.append((a.copy(), out.copy()))
+            return out
+
+        return rk4(spy, z, times)
+
+    monkeypatch.setattr(toda, "_rk4", recording)
+    flow_integrated(s, FlowConfig(g=g, t_final=0.16, dt=0.008))
+    assert len(stages) == 80
+    for z, got in stages:
+        want = commutator(z, skew_part(matrix_function_oracle(z, fn)))
+        top = float(np.abs(fn(np.linalg.eigvalsh(z))).max())
+        assert maxabs(got - want) <= 2e-13 * frobenius(z) * top
 
 
 def test_integrated_partial_final_step():
