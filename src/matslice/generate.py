@@ -78,7 +78,7 @@ def random_jacobi(n: int, rng: np.random.Generator, spectrum=None) -> np.ndarray
     if spectrum is not None:
         lam = MoserCoordinates(as_spectrum(spectrum, n), np.ones(n)).lam
         w = 0.2 + rng.uniform(size=n)
-        w /= np.linalg.norm(w)
+        w /= kernels.frobenius(w)
         return moser_reconstruct(lam, w)
     return kernels.tridiagonal(rng.normal(size=n), rng.uniform(0.3, 1.2, size=n - 1))
 

@@ -21,7 +21,6 @@ from .slices import trusted
 
 WEIGHT_FLOOR = 1e-10        # refuse reconstruction below this first-coordinate size
 LANCZOS_BREAKDOWN = 1e-12   # Lanczos off-diagonal breakdown threshold, relative to max|lam|
-COORDINATE_GAP_RTOL = 1e-9  # descending-eigenvalue gap required of coordinates
 
 
 def is_tridiagonal(s) -> bool:
@@ -38,9 +37,9 @@ def is_jacobi(s) -> bool:
 class MoserCoordinates:
     """Spectral chart of a Jacobi matrix: descending eigenvalues + unit weight vector.
 
-    ``lam`` must pass ``linalg.as_spectrum`` with gaps above 1e-9 * max|lam|;
-    ``w`` must be strictly positive and is normalized to unit Euclidean norm
-    at construction.
+    ``lam`` must pass ``linalg.as_spectrum`` and ``kernels.simplicity_margin``
+    (gaps above 1e-9 * ||lam||); ``w`` must be strictly positive and is
+    divided by its scale-safe norm ``kernels.frobenius(w)``: only ratios matter.
     """
 
     lam: np.ndarray
@@ -49,12 +48,12 @@ class MoserCoordinates:
     def __post_init__(self):
         self.lam = as_spectrum(self.lam)
         self.w = as_vector(self.w, "weights w", len(self.lam))
-        gaps = self.lam[:-1] - self.lam[1:]
-        if np.any(gaps <= COORDINATE_GAP_RTOL * float(np.max(np.abs(self.lam)))):
-            raise ValueError("eigenvalue gaps must exceed 1e-9 * max|lam|")
+        gap, threshold = kernels.simplicity_margin(self.lam)
+        if gap <= threshold:
+            raise ValueError("eigenvalue gaps must exceed 1e-9 * ||lam||")
         if float(self.w.min()) <= 0.0:
             raise ValueError("weight vector must be strictly positive")
-        self.w = self.w / float(np.linalg.norm(self.w))
+        self.w = self.w / kernels.frobenius(self.w)
 
     @property
     def n(self) -> int:
@@ -78,7 +77,7 @@ def moser_coordinates(j) -> MoserCoordinates:
             "first eigenvector coordinates are not strictly positive; "
             "input is numerically reducible"
         )
-    return trusted(MoserCoordinates, lam=lam, w=w / float(np.linalg.norm(w)))
+    return trusted(MoserCoordinates, lam=lam, w=w / kernels.frobenius(w))
 
 
 def moser_reconstruct(lam, w) -> np.ndarray:
@@ -88,7 +87,8 @@ def moser_reconstruct(lam, w) -> np.ndarray:
     scales with lam), started at w and reorthogonalized against all previous
     vectors each step.  Refuses weight entries below 1e-10 (too close to a
     reducible matrix) and raises ReconstructionFailure when an off-diagonal
-    falls below 1e-12 * 2^e.  MoserCoordinates validates and normalizes.
+    falls below 1e-12 * 2^e.  MoserCoordinates validates and normalizes: lam
+    meets the gate of ``moser_coordinates``, and only the ratios of w matter.
     """
     coords = MoserCoordinates(lam=lam, w=w)
     e = kernels.binade(coords.lam)

@@ -253,17 +253,20 @@ def jacobi_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[order], np.where(flip[:, None], -q, q)
 
 
+def simplicity_margin(lam: np.ndarray) -> tuple[float, float]:
+    """Smallest gap of a descending lam and the one simplicity gate, 1e-9 * ||lam||."""
+    return float((lam[:-1] - lam[1:]).min()), SIMPLE_SPECTRUM_RTOL * frobenius(lam)
+
+
 def simple_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``jacobi_eigensystem`` behind the simple-spectrum gate: raises
-    DegenerateSpectrum when any eigenvalue gap is at or below
+    """``jacobi_eigensystem`` behind the gate of ``simplicity_margin``: raises
+    DegenerateSpectrum when the smallest eigenvalue gap is at or below
     ``1e-9 * ||lam||`` (which is ``||a||``)."""
     lam, q = jacobi_eigensystem(a)
-    threshold = SIMPLE_SPECTRUM_RTOL * frobenius(lam)
-    gaps = lam[:-1] - lam[1:]
-    if np.any(gaps <= threshold):
+    gap, threshold = simplicity_margin(lam)
+    if gap <= threshold:
         raise DegenerateSpectrum(
-            f"eigenvalue gap {float(np.min(gaps)):.3e} is below the simplicity "
-            f"threshold {threshold:.3e}"
+            f"eigenvalue gap {gap:.3e} is below the simplicity threshold {threshold:.3e}"
         )
     return lam, q
 

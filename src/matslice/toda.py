@@ -138,19 +138,14 @@ def inverse_flaschka(j) -> TodaState:
     """Particle state of a Jacobi matrix, in the sum(x) = 0 gauge.
 
     Only position differences are determined by the matrix; the translation
-    gauge fixes the rest.  Raises NotJacobi when the input is not tridiagonal
-    with a strictly positive superdiagonal.
+    gauge (``TodaState.centered``) fixes the rest.  Raises NotJacobi when the
+    input is not tridiagonal with a strictly positive superdiagonal.
     """
     a = as_symmetric(j)
     if not kernels.is_jacobi(a):
         raise NotJacobi("inverse change of variables needs a Jacobi matrix")
-    n = a.shape[0]
-    y = -2.0 * np.diag(a).copy()
-    gaps = 2.0 * np.log(2.0 * np.diag(a, 1))
-    x = np.zeros(n)
-    x[1:] = -np.cumsum(gaps)
-    x -= x.mean()
-    return trusted(TodaState, x=x, y=y)
+    x = np.concatenate(([0.0], -np.cumsum(2.0 * np.log(2.0 * np.diag(a, 1)))))
+    return trusted(TodaState, x=x, y=-2.0 * np.diag(a)).centered()
 
 
 def particle_field(state: TodaState) -> tuple[np.ndarray, np.ndarray]:

@@ -2,9 +2,13 @@
 
 A leading underscore marks a name as internal to the module that defines it;
 another module that reads it couples itself to that module's internals.
+The benchmark reads public names from outside: each function it traces by
+name must stay a public function of its module.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import matslice
@@ -55,6 +59,34 @@ def private_reads(path: Path) -> list[str]:
 def test_modules_read_no_private_names_of_each_other():
     found = [line for path in sorted(PACKAGE.glob("*.py")) for line in private_reads(path)]
     assert not found, "\n".join(found)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def assigned_literal(path: Path, name: str):
+    """The literal that ``path`` assigns to ``name`` at module level, read without importing it."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == name for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def test_benchmark_metrics_name_public_functions():
+    # the benchmark's tracer reads a key that names no public function as
+    # 0 calls, so renaming a function would silently zero its metrics
+    groups = assigned_literal(BENCH / "spans.py", "GROUPS")
+    keys = [key for metric in assigned_literal(BENCH / "run.py", "FUNCTION_METRICS")
+            for key in groups.get(metric, (metric,))]
+    missing = []
+    for key in keys:
+        layer, name = key.split(".")
+        module = importlib.import_module(f"matslice.{layer}")
+        fn = vars(module).get(name)
+        if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+            missing.append(key)
+    assert keys and not missing, f"not a public function of its module: {missing}"
 
 
 KIND_INTERNALS = {"exponent", "coeffs", "scale", "requires_positive", "requires_nonzero"}

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import golden_matrix
 from matslice import (
     MatSliceError,
+    MoserCoordinates,
     TodaState,
     accessible_vertices,
     as_symmetric,
@@ -117,6 +118,25 @@ def test_moser_round_trip_at_any_scale(c):
     npt.assert_allclose(back / c, j, rtol=0.0, atol=1e-14 * frobenius(j))
 
 
+@pytest.mark.parametrize("k", [-560, -500, 500, 520])
+def test_moser_reconstruct_ignores_power_of_two_weight_scales(k):
+    # only weight ratios matter; a plain norm of the weights underflowed at
+    # 2^-560 (division by zero) and overflowed at 2^520 (every weight 0)
+    coords = moser_coordinates(random_jacobi(5, default_rng(1)))
+    want = moser_reconstruct(coords.lam, coords.w)
+    assert np.array_equal(moser_reconstruct(coords.lam, np.ldexp(coords.w, k)), want)
+
+
+@pytest.mark.parametrize("c", [1e-170, 1e-160, 1e155, 1e160])
+def test_moser_reconstruct_ignores_the_scale_of_its_weights(c):
+    # a plain norm of the weights lost bits to subnormal squares at 1e-160
+    # (a silent error), and overflowed from 1e155 (a refusal)
+    coords = moser_coordinates(random_jacobi(5, default_rng(1)))
+    want = moser_reconstruct(coords.lam, coords.w)
+    npt.assert_allclose(moser_reconstruct(coords.lam, c * coords.w), want,
+                        rtol=0.0, atol=1e-15 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("k", [-500, -43, 497])
 def test_moser_reconstruct_scales_exactly_by_powers_of_two(k):
     coords = moser_coordinates(random_jacobi(5, default_rng(1)))
@@ -154,6 +174,9 @@ FAINT = np.array([1.0, 1e-14, 1.0])
 DECOUPLED = S3 * np.outer(FAINT, FAINT)  # index 1 coupled by 1e-14 only
 ASYM = np.triu(np.ones((3, 3)), 1)
 LAM = np.array([3.0, 2.0, 1.0])
+# gap 1.5e-9: above 1e-9 * max|lam|, at or below the 1e-9 * ||lam|| gate
+NEAR_TIE = np.array([1.0, 1.0 - 1.5e-9, -1.0])
+W3 = np.array([0.5, 0.6, 0.62])
 
 
 def refusal(fn, *args):
@@ -186,6 +209,12 @@ DECISIONS = [
     ("spectral_decompose", lambda c: refusal(spectral_decompose, c * S3), None),
     ("spectral_decompose tie", lambda c: refusal(spectral_decompose, c * np.diag([2.0, 1.0, 1.0])),
      "DegenerateSpectrum"),
+    ("spectral_decompose near tie",
+     lambda c: refusal(spectral_decompose, np.diag(c * NEAR_TIE)), "DegenerateSpectrum"),
+    ("MoserCoordinates near tie", lambda c: refusal(MoserCoordinates, c * NEAR_TIE, W3),
+     "ValueError"),
+    ("moser_reconstruct near tie", lambda c: refusal(moser_reconstruct, c * NEAR_TIE, W3),
+     "ValueError"),
     ("hull_member inside", lambda c: hull_member(c * np.array([2.5, 2.0, 1.5]), c * LAM), True),
     ("hull_member vertex", lambda c: hull_member(c * LAM[::-1], c * LAM), True),
     ("hull_member outside", lambda c: hull_member(c * np.array([3.5, 1.5, 1.0]), c * LAM), False),

@@ -86,6 +86,20 @@ def test_flaschka_inverse_round_trip():
                             atol=1e-12 * max(1.0, maxabs(j)))
 
 
+def test_inverse_flaschka_takes_the_gauge_of_the_plain_mean():
+    # TodaState.centered's mean of x / 2^e is bitwise x.mean() at these scales
+    rng = np.random.default_rng(523)
+    for n in range(2, 17):
+        for scale in 10.0 ** np.arange(-3, 4):
+            for _ in range(3):
+                j = scale * random_jacobi(n, rng)
+                x = np.zeros(n)
+                x[1:] = -np.cumsum(2.0 * np.log(2.0 * np.diag(j, 1)))
+                state = inverse_flaschka(j)
+                assert np.array_equal(state.x, x - x.mean())
+                assert np.array_equal(state.y, -2.0 * np.diag(j))
+
+
 def test_inverse_flaschka_rejects_non_jacobi():
     with pytest.raises(NotJacobi):
         inverse_flaschka(np.diag([2.0, 1.0]))
