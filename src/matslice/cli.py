@@ -306,7 +306,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
-    except MatSliceError as exc:
+    except (MatSliceError, ArithmeticError) as exc:  # pass caps, norms past the double range
         kind, detail = type(exc).__name__, str(exc)
     except OSError as exc:
         kind, detail = "IOError", str(exc)

@@ -59,7 +59,7 @@ def descending_spectrum(
         lam = np.sort(rng.uniform(lo, hi, size=n))[::-1]
         if np.all(-np.diff(lam) >= min_gap):
             return lam
-    raise RuntimeError("failed to sample a well-gapped spectrum")
+    raise ValueError(f"no spectrum in [{lo:g}, {hi:g}] with gaps >= {min_gap:g} in 1000 draws")
 
 
 def random_with_spectrum(lam, rng: np.random.Generator) -> np.ndarray:

@@ -12,9 +12,9 @@ memoized by the exact bytes of the matrix, for the 8 most recent matrices per
 process, so repeated calls on one matrix return bitwise-identical results;
 warm starts bypass the memo.  QR is LAPACK's, by numpy's gufuncs.  Both
 divide their input by 2^``binade`` of it (exact) and scale the result back,
-and the norms do the same at extreme scales, so results do not depend on the
-input's scale.  The skew split has two independent builders, ``skew_part``
-(``np.tril``) and the Lax field's sign matrix ``skew_signs``;
+and so do every norm and relative threshold (``tolerance``), so results do
+not depend on the input's scale.  The skew split has two independent
+builders, ``skew_part`` (``np.tril``) and the Lax field's sign matrix ``skew_signs``;
 ``tridiagonal`` builds every band matrix.  Imports nothing of matslice but
 ``errors``.
 """
@@ -50,18 +50,17 @@ def binade(a: np.ndarray) -> int:
     return math.frexp(top)[1] if top > 0.0 else 0
 
 
-def frobenius(m) -> float:
-    """Frobenius norm, finite at any scale whose true norm is a finite double.
-
-    With max|m| between 2^-200 and 2^500 the plain norm is used: no square
-    that matters can underflow, none can overflow.  Outside that range the
-    norm is taken of m divided by a power of two and scaled back.
-    """
+def tolerance(rtol: float, m) -> float:
+    """rtol * ||m||_F, formed on m / 2^``binade(m)`` (exact) and scaled back: finite
+    wherever the product is a finite double, even where ||m|| itself is not."""
     a = np.asarray(m, dtype=float)
     e = binade(a)
-    if -200 <= e <= 500:
-        return float(np.linalg.norm(a))
-    return math.ldexp(float(np.linalg.norm(np.ldexp(a, -e))), e)
+    return math.ldexp(rtol * float(np.linalg.norm(np.ldexp(a, -e))), e)
+
+
+def frobenius(m) -> float:
+    """Frobenius norm, ``tolerance(1.0, m)``: finite wherever it is a finite double."""
+    return tolerance(1.0, m)
 
 
 def symmetrize(m) -> np.ndarray:
@@ -92,7 +91,7 @@ def invertible_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (the cheap singularity estimate the factorization itself provides) falls
     at or below ``1e-12 * ||a||``."""
     q, r = householder_qr(a)
-    small, threshold = float(np.abs(np.diag(r)).min()), SINGULAR_RTOL * frobenius(a)
+    small, threshold = float(np.abs(np.diag(r)).min()), tolerance(SINGULAR_RTOL, a)
     if small <= threshold:
         raise SingularMatrix(
             f"diagonal of R has magnitude {small:.3e}, at or below "
@@ -254,8 +253,11 @@ def jacobi_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simplicity_margin(lam: np.ndarray) -> tuple[float, float]:
-    """Smallest gap of a descending lam and the one simplicity gate, 1e-9 * ||lam||."""
-    return float((lam[:-1] - lam[1:]).min()), SIMPLE_SPECTRUM_RTOL * frobenius(lam)
+    """Smallest gap of a descending lam and the one simplicity gate, 1e-9 * ||lam||,
+    both formed on lam / 2^e (exact) and scaled back: a gap past the double range is inf."""
+    x = np.ldexp(lam, -(e := binade(lam)))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp((x[:-1] - x[1:]).min(), e)), tolerance(SIMPLE_SPECTRUM_RTOL, lam)
 
 
 def simple_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,7 +300,7 @@ def is_tridiagonal(a: np.ndarray) -> bool:
     """No entry off the tridiagonal band exceeds 1e-12 * ||a||: room for the
     roundoff of QR-type steps and flows, which keep the band to 1e-14 * ||a||."""
     off_band = np.triu(a, 2) + np.tril(a, -2)  # disjoint supports: the sum is exact
-    return bool(np.abs(off_band).max() <= TRIDIAG_RTOL * frobenius(a))
+    return bool(np.abs(off_band).max() <= tolerance(TRIDIAG_RTOL, a))
 
 
 def is_jacobi(a: np.ndarray) -> bool:
@@ -315,7 +317,7 @@ def is_irreducible(a: np.ndarray) -> bool:
     reachable from index 0, one layer of neighbours per pass.
     """
     n = a.shape[0]
-    coupled = np.abs(a) > IRREDUCIBLE_RTOL * frobenius(a)
+    coupled = np.abs(a) > tolerance(IRREDUCIBLE_RTOL, a)
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
     for _ in range(n - 1):

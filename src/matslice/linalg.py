@@ -48,7 +48,7 @@ def as_vector(v, what: str, n: int | None = None) -> np.ndarray:
 def as_spectrum(lam, n: int | None = None) -> np.ndarray:
     """``as_vector`` of a simple spectrum: at least two values, strictly descending."""
     lam = as_vector(lam, "spectrum", n)
-    if len(lam) < 2 or np.any(np.diff(lam) >= 0.0):
+    if len(lam) < 2 or np.any(lam[1:] >= lam[:-1]):
         raise ValueError("spectrum must list at least two strictly descending values")
     return lam
 
@@ -192,7 +192,7 @@ class SpectralFunction:
             raise DomainViolation(f"{self.kind} requires a strictly positive spectrum; "
                                   f"smallest eigenvalue is {float(lam.min()):.6g}")
         if (self.kind == "power" and not root and self.exponent < 0
-                and float(np.min(np.abs(lam))) <= kernels.SINGULAR_RTOL * frobenius(lam)):
+                and float(np.min(np.abs(lam))) <= kernels.tolerance(kernels.SINGULAR_RTOL, lam)):
             raise DomainViolation("negative powers require an invertible argument")
         return lam
 

@@ -126,7 +126,7 @@ def spectral_polytope(lam) -> VertexSet:
     points and a lower affine dimension than the simple-spectrum polytope.
     """
     lam = _as_multiset(lam)
-    if np.any(np.diff(lam) > 0.0):
+    if np.any(lam[1:] > lam[:-1]):
         raise ValueError("spectrum must be non-increasing")
     return _polytope(lam)
 
@@ -247,10 +247,12 @@ def hull_member(point, lam) -> bool:
 
 
 def _affine_dim(points: np.ndarray) -> int:
-    """Dimension of the affine span of a point set, by singular values."""
+    """Dimension of the affine span of a point set, by singular values of the
+    points / 2^``binade`` (exact, so no mean overflows) minus their mean."""
     if len(points) <= 1:
         return 0
-    centered = points - points.mean(axis=0)
+    x = np.ldexp(points, -kernels.binade(points))
+    centered = x - x.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[0] == 0.0:
         return 0

@@ -29,7 +29,7 @@ _EXP_SPREAD_LIMIT = 700.0  # beyond this, weight ratios underflow double precisi
 def as_time_grid(times) -> np.ndarray:
     """Sample times as a float array: nonempty, 1-d, finite, strictly increasing."""
     times = as_vector(times, "sample times")
-    if np.any(np.diff(times) <= 0.0):
+    if np.any(times[1:] <= times[:-1]):
         raise ValueError("sample times must be strictly increasing")
     return times
 

@@ -37,7 +37,6 @@ from .linalg import (
     as_symmetric,
     as_vector,
     eigensystem,
-    frobenius,
     function_values,
     offdiag_norm,
 )
@@ -276,6 +275,8 @@ def time_grid(t_final: float, dt: float) -> np.ndarray:
 
 
 def _check_span(t_final: float, dt: float):
+    """Refuse, by ValueError, a span that is not finite, has dt <= 0 or t_final < 0,
+    or whose step count t_final / dt is not finite (no grid could hold it)."""
     if not (math.isfinite(t_final) and math.isfinite(dt)):
         raise ValueError("times must be finite")
     if dt <= 0.0:
@@ -285,6 +286,8 @@ def _check_span(t_final: float, dt: float):
             "t_final must be nonnegative; negate the driving function "
             "(or flip the momenta) for a time-reversed flow"
         )
+    if not math.isfinite(t_final / dt):
+        raise ValueError(f"step count t_final / dt = {t_final:g} / {dt:g} is not finite")
 
 
 def _rk4(field, z: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -356,7 +359,7 @@ def detect_clusters(s) -> ClusterPartition:
 
 
 def _broken_bonds(a: np.ndarray) -> tuple[int, ...]:
-    return tuple(np.flatnonzero(np.abs(np.diag(a, 1)) <= BOND_RTOL * frobenius(a)).tolist())
+    return tuple(np.flatnonzero(np.abs(a.diagonal(1)) <= kernels.tolerance(BOND_RTOL, a)).tolist())
 
 
 @dataclass
@@ -398,30 +401,24 @@ class ConvergenceReport:
 
 
 def _match_order(diagonal: np.ndarray, spectrum: np.ndarray) -> tuple[int, ...]:
-    # greedy nearest-unused assignment; exact for converged trajectories
-    used = set()
+    """Greedy nearest-unused assignment, exact for converged trajectories; the
+    distances are taken on both / 2^``binade`` of both (exact), so none overflows."""
+    e = kernels.binade(np.concatenate((diagonal, spectrum)))
+    dist = np.abs(np.subtract.outer(np.ldexp(diagonal, -e), np.ldexp(spectrum, -e)))
     order = []
-    for value in diagonal:
-        best, best_err = -1, math.inf
-        for k, lam in enumerate(spectrum):
-            if k in used:
-                continue
-            err = abs(value - lam)
-            if err < best_err:
-                best, best_err = k, err
-        used.add(best)
-        order.append(best)
+    for row in dist:
+        row[order] = np.inf  # the spectrum values already taken
+        order.append(int(row.argmin()))
     return tuple(order)
 
 
 def convergence_diagnostics(traj: Trajectory) -> ConvergenceReport:
     """Off-diagonal decay, diagonal ordering and broken bonds along a trajectory."""
-    scale = frobenius(traj.states[0])
     offs = np.array([offdiag_norm(state) for state in traj.states])
     diags = np.array([np.diag(state) for state in traj.states])
     monotone = np.ones(len(offs), dtype=bool)
     monotone[1:] = offs[1:] <= offs[:-1]
-    tol = CONVERGED_RTOL * scale
+    tol = kernels.tolerance(CONVERGED_RTOL, traj.states[0])
     below = np.nonzero(offs < tol)[0]
     converged_at = int(below[0]) if below.size else None
     spectrum, _ = eigensystem(traj.states[0])

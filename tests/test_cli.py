@@ -27,6 +27,7 @@ from matslice import (
     kernels,
     qr_step,
     random_jacobi,
+    random_symmetric,
 )
 
 
@@ -103,6 +104,15 @@ def test_flow_trajectory_output(tmp_path, jacobi_file):
     traj = read_trajectory_csv(traj_p)
     assert len(traj) == 5
     assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
+
+
+def test_integrated_flow_writes_its_trajectory(tmp_path, jacobi_file):
+    out_p, traj_p = tmp_path / "i.json", tmp_path / "i.csv"
+    assert run("flow", "--in", jacobi_file, "--t", "0.5", "--dt", "0.125",
+               "--method", "integrated", "--out", out_p, "--traj", traj_p) == 0
+    traj = read_trajectory_csv(traj_p)
+    npt.assert_array_equal(traj.times, [0.0, 0.125, 0.25, 0.375, 0.5])
+    assert np.array_equal(traj.final, read_matrix(out_p))
 
 
 def test_factorized_trajectory_ends_on_the_output_matrix(tmp_path, jacobi_file):
@@ -309,6 +319,61 @@ def test_diverging_integrated_flow_prints_one_json_line(tmp_path, capsys, g, t, 
     [line] = capsys.readouterr().err.splitlines()
     assert json.loads(line) == {"error": "InvalidInput",
                                 "detail": "integrated state is no longer finite; reduce dt"}
+
+
+TOP = np.array([[1.2e308, 5e307, 0.0], [5e307, 9e307, 4e307], [0.0, 4e307, 6e307]])
+
+
+def test_subcommands_answer_at_the_top_of_the_double_range(tmp_path, capsys):
+    # ||S|| = 1.85e308 is past the double range, 1e-12 * ||S|| is not: every
+    # threshold formed ||S|| first and printed an OverflowError traceback
+    src = tmp_path / "top.json"
+    write_matrix(TOP, src)
+    out = [str(tmp_path / name) for name in ("a.json", "b.json")]
+    for argv in [("step", "--out", out[0]), ("factor", "--out-q", out[0], "--out-r", out[1]),
+                 ("bfr", "--out", out[0]), ("moser", "--out", out[0]),
+                 ("polytope", "--out", out[0]), ("iterate", "--steps", "3", "--report", out[0])]:
+        assert run(argv[0], "--in", src, *argv[1:]) == 0, argv[0]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n", range(11, 24))
+def test_random_spectrum_past_its_draws_exits_one(tmp_path, capsys, n):
+    # 1000 rejection draws of 11 or more gaps >= 0.25 in [-3, 3] all fail at
+    # seed 1; that was a RuntimeError traceback
+    out = tmp_path / "sp.json"
+    assert run("random", "--kind", "spectrum", "--n", n, "--seed", "1", "--out", out) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "InvalidInput"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("flow", "--method", "integrated"), ("toda-particles",)],
+                         ids=["flow", "toda-particles"])
+def test_span_of_infinitely_many_steps_exits_one(tmp_path, capsys, argv):
+    # t / dt = 1e608 is inf: time_grid's floor(inf) was an OverflowError traceback
+    src = tmp_path / "in.json"
+    if argv[0] == "flow":
+        write_matrix(np.diag([2.0, 1.0]), src)
+    else:
+        write_toda_state(TodaState(x=np.zeros(2), y=np.zeros(2)), src)
+    assert run(*argv, "--in", src, "--t", "1e308", "--dt", "1e-300",
+               "--out", tmp_path / "out") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "InvalidInput" and "not finite" in err["detail"]
+
+
+def test_eigensolver_pass_cap_exits_one(tmp_path, capsys, monkeypatch):
+    # an ArithmeticError was a traceback; it is a computation failure, exit 1
+    src = tmp_path / "s.json"
+    write_matrix(random_symmetric(6, default_rng(3)), src)
+    monkeypatch.setattr(kernels, "_MAX_SWEEPS", 1)
+    assert run("step", "--in", src, "--f", "pow:2", "--out", tmp_path / "out.json") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ArithmeticError",
+                                "detail": "Jacobi eigensolver failed to converge"}
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_bad_function_string_exits_two(tmp_path, jacobi_file, capsys):

@@ -229,6 +229,12 @@ def test_vertex_set_round_trip_with_one_based_labels():
     assert [0, 1, 2] not in flat
 
 
+def test_near_threshold_round_trip():
+    back, text = roundtrip(write_vertex_set, read_vertex_set, read_vertex_set(
+        io.StringIO(vertex_doc(near_threshold=[[2, 1]]))))
+    assert back.near_threshold == ((1, 0),)
+    assert json.loads(text)["near_threshold"] == [[2, 1]]
+
 def test_vertex_set_rejections():
     with pytest.raises(InvalidFormat):
         read_vertex_set(io.StringIO('{"lambda": [2, 1], "vertices": []}'))
@@ -256,6 +262,9 @@ MALFORMED = {
     "affine_dim fractional": (read_vertex_set, vertex_doc(affine_dim=1.7)),
     "near_threshold of strings": (read_vertex_set, vertex_doc(near_threshold=[["a"]])),
     "near_threshold not a permutation": (read_vertex_set, vertex_doc(near_threshold=[[7, 7]])),
+    "pi repeats an index": (read_vertex_set,
+                            vertex_doc(vertices=[{"pi": [1, 1], "point": [2.0, 1.0]}])),
+    "vertex without pi": (read_vertex_set, vertex_doc(vertices=[{"point": [2.0, 1.0]}])),
     "pi of booleans": (read_vertex_set,
                        vertex_doc(vertices=[{"pi": [True, 2], "point": [2.0, 1.0]}])),
     "matrix entry beyond double range": (read_matrix,

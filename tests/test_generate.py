@@ -29,6 +29,14 @@ def test_descending_spectrum_refuses_non_finite_bounds_before_drawing(bad):
     assert rng.uniform() == np.random.default_rng(3).uniform()
 
 
+def test_descending_spectrum_names_the_gaps_it_cannot_draw():
+    # at the defaults 1000 draws of 12 values in [-3, 3] all miss gaps >= 0.25;
+    # that was a RuntimeError, which the command line printed as a traceback
+    with pytest.raises(ValueError, match=r"\[-3, 3\] with gaps >= 0.25"):
+        descending_spectrum(12, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="interval too small"):
+        descending_spectrum(24, np.random.default_rng(1))
+
 SIZED = {
     "random_symmetric": random_symmetric,
     "random_orthogonal": random_orthogonal,

@@ -107,6 +107,13 @@ def test_moser_reconstruct_refuses_boundary_weights():
         moser_reconstruct(lam, np.array([1e-12, 1.0, 1.0]))
 
 
+def test_moser_reconstruct_refuses_a_lanczos_breakdown():
+    # the gap 3e-9 passes the simplicity gate and the weight 2e-10 the floor,
+    # but the first Lanczos residual is far below 1e-12 * 2^e
+    message = "Lanczos off-diagonal 6.000e-19 fell below 2.000e-12 at step 1"
+    with pytest.raises(ReconstructionFailure, match=message):
+        moser_reconstruct([1.0, 1.0 - 3e-9], [1.0, 2e-10])
+
 def test_spectrum_constant_along_flow():
     rng = np.random.default_rng(421)
     j = random_jacobi(5, rng, spectrum=[5.0, 3.5, 2.0, 1.0, -1.0])

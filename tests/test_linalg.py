@@ -382,6 +382,15 @@ def test_spectral_function_constructor_validation():
     assert f(3.0) == 9.0
 
 
+@pytest.mark.parametrize("kind, fields, message", [
+    ("cube", {}, "unknown function kind"),
+    ("power", {"exponent": 2}, "Fraction exponent"),
+    ("power", {"exponent": 0.5}, "Fraction exponent"),
+], ids=["unknown kind", "int exponent", "float exponent"])
+def test_spectral_function_refuses_what_its_constructors_never_build(kind, fields, message):
+    with pytest.raises(ValueError, match=message):
+        SpectralFunction(kind, **fields)
+
 @pytest.mark.parametrize("make", [
     lambda: SpectralFunction.polynomial([math.nan, 1.0]),
     lambda: SpectralFunction.polynomial([1.0, -math.inf]),

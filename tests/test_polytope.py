@@ -72,6 +72,10 @@ def test_spectral_polytope_merges_signed_zero_ties():
     assert vs.perms == spectral_polytope(np.array([2.0, 0.0, 0.0])).perms
 
 
+def test_spectral_polytope_refuses_an_increasing_spectrum():
+    with pytest.raises(ValueError, match="non-increasing"):
+        spectral_polytope([1.0, 2.0, 2.0])
+
 # ------------------------------------------------------------------- bfr_map
 
 def test_bfr_frozen_2x2():
@@ -563,6 +567,10 @@ def test_sum_zero_basis_is_orthonormal():
         npt.assert_allclose(b @ b.T, np.eye(n - 1), atol=1e-14)
         npt.assert_allclose(b.sum(axis=1), np.zeros(n - 1), atol=1e-14)
 
+
+def test_sum_zero_basis_needs_two_coordinates():
+    with pytest.raises(ValueError, match="n >= 2"):
+        sum_zero_basis(1)
 
 def test_projection_preserves_distances():
     lam = np.array([3.0, 2.0, 1.0])

@@ -21,8 +21,11 @@ from matslice import (
     MatSliceError,
     MoserCoordinates,
     TodaState,
+    SpectralFunction,
     accessible_vertices,
+    apply_function,
     as_symmetric,
+    as_time_grid,
     bfr_map,
     convergence_diagnostics,
     default_rng,
@@ -39,12 +42,14 @@ from matslice import (
     moser_coordinates,
     moser_reconstruct,
     offdiag_norm,
+    permutohedron_vertices,
     qr_factor,
     qr_step,
     random_jacobi,
     random_with_spectrum,
     slice_point,
     spectral_decompose,
+    spectral_polytope,
 )
 
 S3 = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
@@ -279,3 +284,99 @@ def test_centered_mean_does_not_overflow():
     state = TodaState(x=[1e308, 1e308], y=[1.0, -1.0]).centered()
     npt.assert_array_equal(state.x, [0.0, 0.0])
     npt.assert_array_equal(state.y, [1.0, -1.0])
+
+
+# A 3 x 3 Jacobi matrix whose entries are valid doubles but whose norm,
+# about 1.85e308, is not: forming ||S|| before rtol * ||S|| overflowed.
+TOP = np.array([[1.2e308, 5e307, 0.0], [5e307, 9e307, 4e307], [0.0, 4e307, 6e307]])
+POW_MINUS_ONE = SpectralFunction.power(-1)
+
+
+def report_parts(rep):
+    return [(1, rep.offdiag_norms), (1, rep.diagonals), (0, rep.converged),
+            (0, rep.converged_at), (1, rep.final_offdiag), (0, rep.diagonal_order),
+            (1, rep.spectrum), (0, rep.broken_bonds)]
+
+
+# (public function, its result on s as (degree, part) pairs: a part of degree
+# k scales as c^k, one of degree 0 is a decision or a count)
+TOP_OF_RANGE = [
+    ("qr_factor", lambda s: list(zip((0, 1), qr_factor(s)))),
+    ("qr_step", lambda s: [(1, qr_step(s))]),
+    ("convergence_diagnostics", lambda s: report_parts(convergence_diagnostics(iterate_qr(s, 3)))),
+    ("is_tridiagonal", lambda s: [(0, is_tridiagonal(s))]),
+    ("is_jacobi", lambda s: [(0, is_jacobi(s))]),
+    ("is_irreducible", lambda s: [(0, is_irreducible(s))]),
+    ("spectral_decompose", lambda s: [(1, (d := spectral_decompose(s)).lam), (0, d.q)]),
+    ("bfr_map", lambda s: [(1, bfr_map(s))]),
+    ("slice_point", lambda s: [(1, slice_point(s, W3))]),
+    ("accessible_vertices", lambda s: [(1, (v := accessible_vertices(s)).points),
+                                       (0, v.perms), (0, v.affine_dim), (0, v.near_threshold)]),
+    ("moser_coordinates", lambda s: [(1, (m := moser_coordinates(s)).lam), (0, m.w)]),
+    ("detect_clusters", lambda s: [(0, detect_clusters(s))]),
+    ("apply_function pow:-1", lambda s: [(-1, apply_function(s, POW_MINUS_ONE))]),
+]
+
+
+def assert_scaled(big, small, k):
+    """Parts of the result on 2^k * s against those on s: bitwise 2^(degree k) times."""
+    assert [d for d, _ in big] == [d for d, _ in small]
+    for (degree, got), (_, want) in zip(big, small):
+        if degree:
+            assert np.array_equal(got, np.ldexp(want, degree * k))
+        elif isinstance(got, np.ndarray):
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("call", [call for _, call in TOP_OF_RANGE],
+                         ids=[name for name, _ in TOP_OF_RANGE])
+def test_every_answer_at_the_top_of_the_double_range(call):
+    # each threshold formed ||S|| first, which overflowed ("math range error")
+    # though 1e-12 * ||S|| is a double; a power-of-two scaling is exact
+    assert_scaled(call(TOP), call(np.ldexp(TOP, -1000)), 1000)
+
+
+TOP_SPECTRA = [np.array([1e308, -1e308]), np.array([1.5e308, 1e308, 9e307])]
+
+
+def test_simplicity_gate_at_the_top_of_the_double_range():
+    # lam[:-1] - lam[1:] overflowed; the gaps are now taken on lam / 2^e
+    dec = spectral_decompose(np.diag(TOP_SPECTRA[0]))
+    npt.assert_array_equal(dec.lam, TOP_SPECTRA[0])
+    npt.assert_array_equal(dec.q, [[1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("lam", TOP_SPECTRA, ids=["2", "3"])
+def test_moser_chart_at_the_top_of_the_double_range(lam):
+    w = np.arange(1.0, len(lam) + 1.0)
+    coords = MoserCoordinates(lam, w)
+    npt.assert_array_equal(coords.lam, lam)
+    npt.assert_array_equal(coords.w, MoserCoordinates(np.ldexp(lam, -1000), w).w)
+    j = moser_reconstruct(lam, w)
+    assert np.array_equal(j, np.ldexp(moser_reconstruct(np.ldexp(lam, -1000), w), 1000))
+
+
+@pytest.mark.parametrize("lam", TOP_SPECTRA, ids=["2", "3"])
+@pytest.mark.parametrize("polytope", [permutohedron_vertices, spectral_polytope])
+def test_polytopes_at_the_top_of_the_double_range(polytope, lam):
+    # np.diff(lam) and the mean of the vertices overflowed
+    vs, small = polytope(lam), polytope(np.ldexp(lam, -1000))
+    assert np.array_equal(vs.points, np.ldexp(small.points, 1000))
+    assert vs.perms == small.perms
+    assert vs.affine_dim == small.affine_dim == len(lam) - 1
+
+
+def test_time_grid_spanning_the_double_range():
+    # np.diff(times) overflowed
+    npt.assert_array_equal(as_time_grid([-1e308, 1e308]), [-1e308, 1e308])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        as_time_grid([1e308, -1e308])
+
+
+def test_diagonal_order_of_a_spectrum_spanning_the_double_range():
+    # the distance from 1e308 to -1e308 overflowed in the greedy match
+    rep = convergence_diagnostics(iterate_qr([[1e308, 1e300], [1e300, -1e308]], 2))
+    assert rep.diagonal_order == (0, 1)
+    assert rep.converged

@@ -333,6 +333,16 @@ def test_trajectory_validation():
         Trajectory(times=np.array([]), states=[])
 
 
+def test_trajectory_refuses_states_of_mixed_shapes():
+    with pytest.raises(ValueError, match="one square shape"):
+        Trajectory(times=[0.0, 1.0], states=[np.eye(2), np.eye(3)])
+
+
+@pytest.mark.parametrize("steps", [-1, 1.5, "3"])
+def test_iterate_qr_refuses_a_bad_step_count(steps):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        iterate_qr(np.diag([2.0, 1.0]), steps)
+
 # --------------------------------------------------------------- slice_point
 
 def test_slice_point_unit_weights_fix_the_matrix():

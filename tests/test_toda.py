@@ -125,6 +125,11 @@ def test_particle_trajectory_refuses_mixed_particle_counts():
         ParticleTrajectory(times=[0.0, 1.0], states=[two, three])
 
 
+def test_particle_trajectory_refuses_misaligned_times():
+    two = TodaState(x=np.zeros(2), y=np.zeros(2))
+    with pytest.raises(ValueError, match="align one to one"):
+        ParticleTrajectory(times=[0.0, 1.0, 2.0], states=[two, two])
+
 # -------------------------------------------------------------- the Lax field
 
 def test_toda_field_frozen_2x2():
@@ -523,6 +528,17 @@ def test_flow_config_validation():
     assert len(flow_integrated(np.diag([2.0, 1.0]), cfg)) == 1
 
 
+@pytest.mark.parametrize("t_final, dt", [(math.inf, 0.1), (1.0, math.nan), (1e308, 1e-300),
+                                         (1.0, 0.0), (-1.0, 0.1)],
+                         ids=["t inf", "dt nan", "inf steps", "dt 0", "t < 0"])
+def test_every_span_check_refuses_by_value_error(t_final, dt):
+    # 1e308 / 1e-300 steps is inf: time_grid's floor of it was an OverflowError
+    state = TodaState(x=np.zeros(2), y=np.zeros(2))
+    for make in (lambda: FlowConfig(g=SpectralFunction.identity(), t_final=t_final, dt=dt),
+                 lambda: time_grid(t_final, dt), lambda: particle_flow(state, t_final, dt)):
+        with pytest.raises(ValueError):
+            make()
+
 def test_diverging_integration_raises():
     # RK4 with dt far beyond the field's time scale leaves the finite
     # numbers; that must raise, not return a trajectory of inf and NaN
@@ -775,6 +791,33 @@ def test_convergence_diagnostics_on_qr_iteration():
     assert doc["converged"] is True
     assert doc["steps"] == 80
     assert doc["diagonal_order"] == [1, 2, 3]  # 1-based on the way out
+
+
+def greedy_order_loop(diagonal, spectrum):
+    """The diagonal order as a plain loop: each diagonal value takes the
+    nearest spectrum value not yet taken, the first of equally near ones."""
+    used, order = set(), []
+    for value in diagonal:
+        best, best_err = -1, math.inf
+        for k, lam in enumerate(spectrum):
+            if k not in used and abs(value - lam) < best_err:
+                best, best_err = k, abs(value - lam)
+        used.add(best)
+        order.append(best)
+    return tuple(order)
+
+
+def test_diagonal_order_is_the_greedy_loop():
+    # the order is taken on both / 2^binade (exact), so it does not depend on
+    # the scale; ties (rounded values) go to the first spectrum value
+    rng = np.random.default_rng(625)
+    for i in range(600):
+        n = int(rng.integers(2, 9))
+        spectrum = np.sort(np.round(rng.normal(size=n), 1 if i % 2 else 12))[::-1]
+        diagonal = np.round(spectrum[rng.permutation(n)] + 0.1 * rng.normal(size=n), 1)
+        k = int(rng.integers(-900, 900))
+        d, lam = np.ldexp(diagonal, k), np.ldexp(spectrum, k)
+        assert toda._match_order(d, lam) == greedy_order_loop(d, lam)
 
 
 def test_convergence_diagnostics_for_reversed_flow():
