@@ -5,7 +5,7 @@ once: a finite square float array, n >= 2, exactly symmetric where it reads
 a symmetric matrix.  The eigensolver is deliberately *not* QR-based, since QR
 iteration is one of the objects under study: simultaneous Jacobi steps, each
 one Cayley transform over every pair, with rotation sweeps as their fallback
-where a step does not halve the off-diagonal norm.  Its core,
+where a step contracts the off-diagonal norm too little.  Its core,
 ``jacobi_unordered``, leaves the eigensystem in the order its passes give;
 ``jacobi_eigensystem`` sorts it and fixes the signs.  Cold solves are
 memoized by the exact bytes of the matrix, for the 8 most recent matrices per
@@ -36,7 +36,7 @@ JACOBI_SWEEP_RTOL = 1e-13    # off-diagonal Frobenius target of the eigensolver
 SIMPLE_SPECTRUM_RTOL = 1e-9  # minimum eigenvalue gap counted as "simple"
 TRIDIAG_RTOL = 1e-12         # band check tolerance, relative to ||s||
 IRREDUCIBLE_RTOL = 1e-12     # off-diagonal coupling threshold for the adjacency graph
-CONTRACTION = 0.5            # off-diagonal norm ratio at or below which a Cayley step is kept
+CONTRACTION = (0.9, 0.9, 0.5)  # off-diagonal norm ratio keeping a Cayley step: pass 1, 2, 3 on
 COLD_MEMO_SIZE = 8           # most recent cold eigensystems kept per process
 _MAX_SWEEPS = 50             # passes (kept Cayley steps or sweeps) before giving up
 _SIGN_PICK_TOL = 1e-12       # "first nonzero" cutoff for the eigenvector sign fix
@@ -52,10 +52,13 @@ def binade(a: np.ndarray) -> int:
 
 def tolerance(rtol: float, m) -> float:
     """rtol * ||m||_F, formed on m / 2^``binade(m)`` (exact) and scaled back: finite
-    wherever the product is a finite double, even where ||m|| itself is not."""
+    wherever the product is a finite double, else an OverflowError that names it."""
     a = np.asarray(m, dtype=float)
-    e = binade(a)
-    return math.ldexp(rtol * float(np.linalg.norm(np.ldexp(a, -e))), e)
+    x = rtol * float(np.linalg.norm(np.ldexp(a, -(e := binade(a)))))
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        raise OverflowError(f"{rtol:g} * ||m||_F = {x:g} * 2^{e}, past the double range") from None
 
 
 def frobenius(m) -> float:
@@ -173,12 +176,13 @@ def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
     one Cayley transform a <- w.T a w, v <- v w, w = (I - g/2)^-1 (I + g/2)
     by LAPACK's LU, with the exactly antisymmetric g_pt = 2 tan(phi/2) =
     -g_tp built from the upper triangle (for one pair, w is that pair's
-    rotation).  The step is kept when it at least halves the off-diagonal
-    norm (``CONTRACTION``); otherwise it is dropped and the pass is one
-    rotation sweep instead.  Near convergence g is -a_pt / (a_pp - a_tt) to
-    first order, so the steps leave an off-diagonal of order
-    ||off||^2 / gap (quadratic convergence, as in eigenvector refinement
-    from an approximate basis).  ``start``, an orthogonal matrix whose rows
+    rotation).  The step is kept when it brings the off-diagonal norm to 0.9
+    of its value in the first two passes, to half of it later
+    (``CONTRACTION``); otherwise it is dropped and the pass is one rotation
+    sweep instead.  Near convergence g is -a_pt / (a_pp - a_tt) to first
+    order, so the steps leave an off-diagonal of order ||off||^2 / gap
+    (quadratic convergence, as in eigenvector refinement from an
+    approximate basis).  ``start``, an orthogonal matrix whose rows
     nearly diagonalize ``a`` in any order and with any signs (the q of a
     nearby matrix), warm-starts from ``start @ a @ start.T``: the same
     eigensystem to roundoff, mostly by Cayley steps alone.  One
@@ -211,7 +215,7 @@ def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
         plus.put(lower, 0.0 - half)
         w = _gesv(plus.T, plus, signature="dd->d")  # np.linalg.solve, bitwise
         b = w.T.dot(a).dot(w)
-        if (step2 := (y := b.take(off)).dot(y)) <= (CONTRACTION ** 2) * off2:
+        if (step2 := (y := b.take(off)).dot(y)) <= CONTRACTION[min(passes, 2)] ** 2 * off2:
             a, v, x, off2 = b, v.dot(w), y, step2
         else:
             a, v = _sweep(a, v, eye)

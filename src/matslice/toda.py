@@ -299,8 +299,8 @@ def _rk4(field, z: np.ndarray, times: np.ndarray) -> np.ndarray:
     (1, 2, 2, 1), 1): bitwise z + c k_j and h/6 (k1 + 2 k2 + 2 k3 + k4) + z, as it
     adds the terms in row order, zero ones as +-0.  Step 0 reads unwritten rows (by
     0), hence the zeros.  Raises ValueError at the first step whose state is not
-    finite (its product with zeros is NaN, not 0), as when dt is too large; the
-    overflows on the way there warn nothing."""
+    finite (its product with zeros is NaN, not 0), as when dt is too large, or
+    DomainViolation if the slope at z itself is not (no dt helps); no overflow warns."""
     steps = np.diff(times)
     path = np.empty((len(times), *z.shape))
     path[0] = z
@@ -319,6 +319,9 @@ def _rk4(field, z: np.ndarray, times: np.ndarray) -> np.ndarray:
                 np.dot(row, flat_buf, flat_stage)
                 field(stage, k)
             if zeros.dot(np.dot(step[3], flat_buf, flat[i + 1])) != 0.0:
+                if i == 0 and not np.isfinite(k1).all():
+                    raise DomainViolation("the vector field overflows double precision at "
+                                          "the start state; no step size helps")
                 raise ValueError("integrated state is no longer finite; reduce dt")
     return path
 
@@ -414,7 +417,12 @@ def _match_order(diagonal: np.ndarray, spectrum: np.ndarray) -> tuple[int, ...]:
 
 def convergence_diagnostics(traj: Trajectory) -> ConvergenceReport:
     """Off-diagonal decay, diagonal ordering and broken bonds along a trajectory."""
-    offs = np.array([offdiag_norm(state) for state in traj.states])
+    offs = np.empty(len(traj.states))
+    for k, state in enumerate(traj.states):
+        try:
+            offs[k] = offdiag_norm(state)
+        except OverflowError as exc:
+            raise OverflowError(f"off-diagonal norm of sample {k}: {exc}") from None
     diags = np.array([np.diag(state) for state in traj.states])
     monotone = np.ones(len(offs), dtype=bool)
     monotone[1:] = offs[1:] <= offs[:-1]

@@ -337,6 +337,25 @@ def test_subcommands_answer_at_the_top_of_the_double_range(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+BEYOND = np.array([[1.0, 1.5e308], [1.5e308, -1.0]])  # valid entries, off-diagonal norm 2.1e308
+
+
+@pytest.mark.parametrize("argv, error, detail", [
+    (("iterate", "--steps", "2"), "OverflowError",
+     "off-diagonal norm of sample 0: 1 * ||m||_F = 1.18002 * 2^1024, past the double range"),
+    (("flow", "--t", "1e-300", "--dt", "1e-300", "--method", "both"), "DomainViolation",
+     "the vector field overflows double precision at the start state; no step size helps"),
+], ids=["iterate", "flow"])
+def test_failures_past_the_double_range_name_their_cause(tmp_path, capsys, argv, error, detail):
+    # these said "math range error" and "integrated state is no longer
+    # finite; reduce dt"
+    src = tmp_path / "m.json"
+    write_matrix(BEYOND, src)
+    assert run(argv[0], "--in", src, *argv[1:]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": error, "detail": detail}
+
+
 @pytest.mark.parametrize("n", range(11, 24))
 def test_random_spectrum_past_its_draws_exits_one(tmp_path, capsys, n):
     # 1000 rejection draws of 11 or more gaps >= 0.25 in [-3, 3] all fail at

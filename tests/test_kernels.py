@@ -26,6 +26,7 @@ from matslice import (
     polytope,
     random_jacobi,
     random_symmetric,
+    random_with_spectrum,
     spectral_decompose,
 )
 
@@ -59,6 +60,16 @@ def test_kernels_call_no_validator():
             if name in VALIDATORS:
                 called.add(f"line {node.lineno}: {name}")
     assert not called, sorted(called)
+
+
+def test_tolerance_past_the_double_range_names_the_product():
+    # ||S|| = 2.1e308 overflows, 1e-12 * ||S|| does not; the overflow was
+    # math.ldexp's bare "math range error"
+    s = np.array([[1.0, 1.5e308], [1.5e308, -1.0]])
+    scaled = np.linalg.norm(np.ldexp(s, -1024))
+    assert kernels.tolerance(1e-12, s) == math.ldexp(1e-12 * scaled, 1024)
+    with pytest.raises(OverflowError, match=r"^2 \* \|\|m\|\|_F = 2\.36005 \* 2\^1024, past"):
+        kernels.tolerance(2.0, s)
 
 
 def assert_qr_contract(a, q, r):
@@ -208,6 +219,25 @@ def test_cold_solve_hands_over_to_cayley_steps(sweeps):
     # every pair at once leave 1 (the Cayley finish before them left 3)
     kernels.jacobi_eigensystem(random_symmetric(8, default_rng(8)))
     assert sweeps[0][1] < 5
+
+
+def test_benchmark_cold_solves_run_no_sweep(sweeps):
+    # the first two passes keep a Cayley step that leaves 0.9 of the
+    # off-diagonal norm: a dense matrix's first step leaves 0.53-0.78, and
+    # halving as the only rule swept in all but one of these benchmark
+    # matrices and in 266 of the 400 polytope-style draws
+    for a in benchmark_matrices():
+        if len(a) <= 16:
+            kernels.jacobi_unordered(a)
+    assert [count for _, count in sweeps] == [0] * 6
+    sweeps.clear()
+    rng = default_rng(1)
+    for n in (5, 6):
+        for _ in range(200):
+            lam = descending_spectrum(n, rng, lo=-3.0, hi=3.0, min_gap=0.3)
+            kernels.jacobi_unordered(random_with_spectrum(lam, rng))
+    assert len(sweeps) == 400
+    assert sum(count > 0 for _, count in sweeps) <= 4
 
 
 def test_pass_cap_bounds_cayley_steps(sweeps, monkeypatch):
@@ -396,7 +426,8 @@ def reference_unordered(a, start=None):
     """The eigensolver's pass rule written plainly: the inner angle of every
     pair, an explicit antisymmetric g = 2 tan(phi/2), I + g/2 as
     eye + g/2 - g.T/2, numpy's solve, ``@`` for the off-diagonal norms;
-    a step that does not halve that norm gives way to one sweep."""
+    a step that leaves more than 0.9 of that norm in the first two passes,
+    or more than half of it in a later one, gives way to one sweep."""
     n = a.shape[0]
     eye, _, rows, cols, off = kernels.solver_layout(n)
     e = kernels.binade(a)
@@ -410,6 +441,7 @@ def reference_unordered(a, start=None):
     m = len(rows)
     flat = a.ravel()
     tol2 = (kernels.JACOBI_SWEEP_RTOL * math.sqrt(flat @ flat)) ** 2
+    passes = 0
     while (off2 := (x := a.take(off)) @ x) > tol2:
         d = a.diagonal()
         gap = d[cols] - d[rows]
@@ -419,10 +451,12 @@ def reference_unordered(a, start=None):
         plus = eye + 0.5 * g - 0.5 * g.T
         w = np.linalg.solve(plus.T, plus)
         b = w.T @ a @ w
-        if (y := b.take(off)) @ y <= (kernels.CONTRACTION * kernels.CONTRACTION) * off2:
+        ratio = 0.9 if passes < 2 else 0.5
+        if (y := b.take(off)) @ y <= (ratio * ratio) * off2:
             a, v = b, v @ w
         else:
             a, v = kernels._sweep(a, v, eye)
+        passes += 1
     return np.ldexp(a.diagonal(), e), v.T
 
 

@@ -856,3 +856,17 @@ def test_diverging_rk4_flow_raises_without_warnings(g, t_final, dt, error):
     with warnings.catch_warnings(), pytest.raises(error):
         warnings.simplefilter("error", RuntimeWarning)
         flow_integrated(j, FlowConfig(g, t_final, dt))
+
+
+BEYOND = np.array([[1.0, 1.5e308], [1.5e308, -1.0]])  # valid entries, off-diagonal norm 2.1e308
+
+
+@pytest.mark.parametrize("flow", [
+    lambda: flow_integrated(BEYOND, FlowConfig(IDENTITY, 1e-300, 1e-300)),
+    lambda: particle_flow(TodaState(x=np.array([0.0, -800.0]), y=np.zeros(2)), 1e-300, 1e-300),
+], ids=["lax", "particles"])
+def test_rk4_names_a_field_that_overflows(flow):
+    # the field at the start state overflows, so no step size helps: this
+    # asked for a smaller dt
+    with pytest.raises(DomainViolation, match="field overflows double precision at the start"):
+        flow()
