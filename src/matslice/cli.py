@@ -5,9 +5,12 @@ trajectories as CSV (see fileio).  Spectral functions are spelled as
 ``identity``, ``log``, ``exp``, ``pow:<k>`` (integer or fraction such as
 ``pow:1/3``) or ``poly:c0,c1,...`` (ascending coefficients).
 
+This module parses arguments and calls the library: ``main`` loads ``--in``
+once, by the reader its subcommand names; every file rule, ``-`` for standard
+input or output included, belongs to fileio.
+
 Exit codes: 0 success, 1 a computation or I/O failure (a one-line JSON
 diagnostic {"error": kind, "detail": text} goes to stderr), 2 bad usage.
-Writable paths accept ``-`` for stdout; readable paths accept ``-`` for stdin.
 """
 
 from __future__ import annotations
@@ -99,107 +102,79 @@ _COUNT = _number(int, "at least 1", lambda v: v >= 1)
 _DIMENSION = _number(int, "at least 2", lambda v: v >= 2)
 
 
-def _src(path: str):
-    return sys.stdin if path == "-" else path
-
-
-def _dst(path: str):
-    return sys.stdout if path == "-" else path
-
-
-def _cmd_factor(args) -> int:
-    m = fileio.read_matrix(_src(args.infile))
+def _cmd_factor(m, args):
     q, r = qr_factor(m)
-    fileio.write_matrix(q, _dst(args.out_q))
-    fileio.write_matrix(r, _dst(args.out_r))
-    return 0
+    fileio.write_matrix(q, args.out_q)
+    fileio.write_matrix(r, args.out_r)
 
 
-def _cmd_step(args) -> int:
-    s = fileio.read_matrix(_src(args.infile))
-    fileio.write_matrix(functional_step(s, args.f), _dst(args.out))
-    return 0
+def _cmd_step(s, args):
+    fileio.write_matrix(functional_step(s, args.f), args.out)
 
 
-def _cmd_iterate(args) -> int:
-    s = fileio.read_matrix(_src(args.infile))
+def _cmd_iterate(s, args):
     traj = iterate_qr(s, args.steps, args.f)
     if args.traj:
-        fileio.write_trajectory_csv(traj, _dst(args.traj))
-    report = convergence_diagnostics(traj).to_dict()
-    fileio.write_report(report, _dst(args.report))
-    return 0
+        fileio.write_trajectory_csv(traj, args.traj)
+    fileio.write_convergence_report(convergence_diagnostics(traj), args.report)
 
 
-def _cmd_flow(args) -> int:
-    s = fileio.read_matrix(_src(args.infile))
+def _cmd_flow(s, args):
     if args.method == "factorized":
         # one eigensolve; the grid ends on exactly t, so its last sample is --out
         times = time_grid(args.t, args.dt) if args.traj else [args.t]
         traj = flow_factorized_trajectory(s, args.g, times)
-        if args.traj:
-            fileio.write_trajectory_csv(traj, _dst(args.traj))
-        fileio.write_matrix(traj.final, _dst(args.out))
-        return 0
-    config = FlowConfig(g=args.g, t_final=args.t, dt=args.dt)
-    traj = flow_integrated(s, config)
+    else:
+        traj = flow_integrated(s, FlowConfig(g=args.g, t_final=args.t, dt=args.dt))
     if args.traj:
-        fileio.write_trajectory_csv(traj, _dst(args.traj))
-    if args.method == "integrated":
-        fileio.write_matrix(traj.final, _dst(args.out))
-        return 0
+        fileio.write_trajectory_csv(traj, args.traj)
+    if args.method != "both":
+        fileio.write_matrix(traj.final, args.out)
+        return
     # both: cross-validate the integrator against the factorized solution
     stride = max(1, len(traj) // 50)
     picks = sorted({*range(0, len(traj), stride), len(traj) - 1})  # and always the last
     exact = flow_factorized_trajectory(s, args.g, traj.times[picks])
     deviation = max(frobenius(traj.states[i] - e) for i, e in zip(picks, exact.states))
-    report = {
+    fileio.write_report({
         "method": "both",
         "t": float(args.t),
         "dt": float(args.dt),
         "samples_compared": len(picks),
         "max_deviation": deviation,
         "matrix_norm": frobenius(s),
-    }
-    fileio.write_report(report, _dst(args.out))
-    return 0
+    }, args.out)
 
 
-def _cmd_toda_particles(args) -> int:
-    state = fileio.read_toda_state(_src(args.infile))
-    traj = particle_flow(state, args.t, args.dt)
-    fileio.write_particle_csv(traj, _dst(args.out))
-    return 0
+def _cmd_toda_particles(state, args):
+    fileio.write_particle_csv(particle_flow(state, args.t, args.dt), args.out)
 
 
-def _cmd_moser(args) -> int:
-    j = fileio.read_matrix(_src(args.infile))
-    fileio.write_moser(moser_coordinates(j), _dst(args.out))
-    return 0
+def _cmd_moser(j, args):
+    fileio.write_moser(moser_coordinates(j), args.out)
 
 
-def _cmd_moser_inverse(args) -> int:
-    coords = fileio.read_moser(_src(args.infile))
-    fileio.write_matrix(moser_reconstruct(coords.lam, coords.w), _dst(args.out))
-    return 0
+def _cmd_moser_inverse(coords, args):
+    fileio.write_matrix(moser_reconstruct(coords.lam, coords.w), args.out)
 
 
-def _cmd_bfr(args) -> int:
-    s = fileio.read_matrix(_src(args.infile))
-    fileio.write_point(bfr_map(s), _dst(args.out))
-    return 0
+def _cmd_bfr(s, args):
+    fileio.write_point(bfr_map(s), args.out)
 
 
-def _cmd_polytope(args) -> int:
-    s = fileio.read_matrix(_src(args.infile))
+def _cmd_polytope(s, args):
     vs = permutohedron_vertices(spectral_decompose(s).lam) if args.full else accessible_vertices(s)
-    fileio.write_vertex_set(vs, _dst(args.out))
+    fileio.write_vertex_set(vs, args.out)
     if args.projection:
-        fileio.write_projection_csv(vs, _dst(args.projection))
-    return 0
+        fileio.write_projection_csv(vs, args.projection)
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(_, args):
+    if args.spectrum is not None:  # refused before any draw
+        if args.kind != "jacobi":
+            args.usage_error("--spectrum goes with --kind jacobi only")
+        if len(args.spectrum) != args.n:
+            args.usage_error(f"--spectrum holds {len(args.spectrum)} values, --n is {args.n}")
     rng = default_rng(args.seed)
     if args.kind == "spectrum":
         doc = {"lambda": [float(v) for v in descending_spectrum(args.n, rng)]}
@@ -207,8 +182,7 @@ def _cmd_random(args) -> int:
         doc = fileio.matrix_document(random_jacobi(args.n, rng, spectrum=args.spectrum))
     else:
         doc = fileio.matrix_document(random_symmetric(args.n, rng))
-    fileio.write_report({**doc, "kind": args.kind, "seed": args.seed}, _dst(args.out))
-    return 0
+    fileio.write_report({**doc, "kind": args.kind, "seed": args.seed}, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,11 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, in_help=None):
-        """A subcommand that reads the file named by --in and runs ``handler``."""
+    def command(name, handler, help, read=fileio.read_matrix, in_help=None):
+        """A subcommand whose ``handler`` takes what ``read`` loads from --in."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--in", dest="infile", required=True, help=in_help)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, read=read)
         return p
 
     p = command("factor", _cmd_factor, "QR factorization with positive diagonal")
@@ -254,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("toda-particles", _cmd_toda_particles,
                 "integrate the exponential-chain particle system",
-                in_help='JSON {"x": [...], "y": [...]}')
+                read=fileio.read_toda_state, in_help='JSON {"x": [...], "y": [...]}')
     p.add_argument("--t", type=_NONNEGATIVE, required=True)
     p.add_argument("--dt", type=_POSITIVE, default=1e-3)
     p.add_argument("--out", default="-")
@@ -264,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
 
     p = command("moser-inverse", _cmd_moser_inverse,
-                "rebuild the Jacobi matrix from spectrum and weights")
+                "rebuild the Jacobi matrix from spectrum and weights", read=fileio.read_moser)
     p.add_argument("--out", default="-")
 
     p = command("bfr", _cmd_bfr, "weighted-eigenvalue image of a symmetric matrix")
@@ -287,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated descending values (jacobi kind only); "
                         "write a leading negative value as --spectrum=-1,-2,-3")
     p.add_argument("--out", default="-")
-    p.set_defaults(handler=_cmd_random)
+    p.set_defaults(handler=_cmd_random, read=None, usage_error=p.error)
 
     return parser
 
@@ -302,10 +276,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
+        args.handler(args.read(args.infile) if args.read else None, args)
+        return 0
+    except SystemExit as exc:  # argparse: bad usage, or --help
         return int(exc.code) if exc.code is not None else 0
-    try:
-        return args.handler(args)
     except (MatSliceError, ArithmeticError) as exc:  # pass caps, norms past the double range
         kind, detail = type(exc).__name__, str(exc)
     except OSError as exc:

@@ -1,9 +1,12 @@
 """On-disk formats: JSON for matrices and structured results, CSV for paths.
 
-All permutation and bond indices are 1-based in files (the Python API is
-0-based throughout).  Floats are written with repr precision (%.17g in CSV)
-so a read-back reproduces the array bit for bit; writers emit keys in a fixed
-order so identical inputs give byte-identical files.
+Every reader and writer takes a path, an open file, or ``-`` for standard
+input (readers) or standard output (writers), from the command line and from
+Python alike.  All permutation and bond indices are 1-based in files (the
+Python API is 0-based throughout), and only this module shifts them.  Floats
+are written with repr precision (%.17g in CSV) so a read-back reproduces the
+array bit for bit; writers emit keys in a fixed order so identical inputs give
+byte-identical files.
 
 Every reader raises InvalidFormat for any malformed document: invalid JSON
 or CSV, a missing key or column, a value of the wrong type, a non-finite
@@ -16,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -24,12 +28,14 @@ from .errors import DimensionMismatch, InvalidFormat
 from .jacobi import MoserCoordinates
 from .polytope import VertexSet, project_sum_zero
 from .slices import Trajectory
-from .toda import ParticleTrajectory, TodaState, hamiltonian
+from .toda import ConvergenceReport, ParticleTrajectory, TodaState, hamiltonian
 
 
 @contextmanager
 def _opened(path_or_file, mode: str):
-    if hasattr(path_or_file, "write") or hasattr(path_or_file, "read"):
+    if path_or_file == "-":
+        yield sys.stdout if "w" in mode else sys.stdin
+    elif hasattr(path_or_file, "write") or hasattr(path_or_file, "read"):
         yield path_or_file
     else:
         with open(path_or_file, mode, newline="" if "b" not in mode else None) as fh:
@@ -175,8 +181,7 @@ def _is_matrix_header(header: list[str]) -> bool:
 def read_trajectory_csv(path_or_file) -> Trajectory:
     vals = _read_csv(path_or_file, "trajectory", _is_matrix_header)
     n = math.isqrt(vals.shape[1] - 1)
-    states = _finite(vals[:, 1:], "trajectory CSV states").reshape(-1, n, n)
-    return _build(Trajectory, times=vals[:, 0], states=list(states))
+    return _build(Trajectory, times=vals[:, 0], states=list(vals[:, 1:].reshape(-1, n, n)))
 
 
 def write_particle_csv(traj: ParticleTrajectory, path_or_file):
@@ -268,6 +273,19 @@ def write_report(report: dict, path_or_file):
 
 def read_report(path_or_file) -> dict:
     return _read_json(path_or_file, "report")
+
+
+def write_convergence_report(report: ConvergenceReport, path_or_file):
+    """The summary of a report, its diagonal order and broken bonds 1-based."""
+    _write_json({
+        "converged": bool(report.converged),
+        "steps": int(report.steps),
+        "final_offdiag": float(report.final_offdiag),
+        "diagonal_order": [int(k) + 1 for k in report.diagonal_order],
+        "broken_bonds": [int(k) + 1 for k in report.broken_bonds],
+        "final_diagonal": _floats(report.diagonals[-1]),
+        "spectrum": _floats(report.spectrum),
+    }, path_or_file)
 
 
 def write_projection_csv(vs: VertexSet, path_or_file):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .jacobi import MoserCoordinates, moser_reconstruct
-from .linalg import as_spectrum, as_vector, eigensystem, qr_factor, symmetrize
+from .linalg import as_spectrum, as_vector, eigensystem, symmetrize
 
 _GAP_FLOOR = 1e-3
 
@@ -38,7 +38,7 @@ def random_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Orthogonal QR factor of a Gaussian matrix (positive diagonal gauge)."""
     _check_size(n)
-    q, _ = qr_factor(rng.normal(size=(n, n)))
+    q, _ = kernels.householder_qr(rng.normal(size=(n, n)))
     return q
 
 
@@ -57,7 +57,7 @@ def descending_spectrum(
         raise ValueError("interval too small for the requested gaps")
     for _ in range(1000):
         lam = np.sort(rng.uniform(lo, hi, size=n))[::-1]
-        if np.all(-np.diff(lam) >= min_gap):
+        if (lam[:-1] - lam[1:]).min() >= min_gap:
             return lam
     raise ValueError(f"no spectrum in [{lo:g}, {hi:g}] with gaps >= {min_gap:g} in 1000 draws")
 

@@ -66,6 +66,11 @@ def frobenius(m) -> float:
     return tolerance(1.0, m)
 
 
+def offdiag_norm(a: np.ndarray) -> float:
+    """Frobenius norm of the off-diagonal part."""
+    return frobenius(a - np.diag(np.diag(a)))
+
+
 def symmetrize(m) -> np.ndarray:
     """0.5 a + 0.5 a.T, the average with the transpose: exact for symmetric a, never overflows."""
     a = np.asarray(m, dtype=float)

@@ -1,11 +1,11 @@
 """Validated entry points to the dense symmetric-matrix kernels.
 
 Householder QR normalized to a positive diagonal of R (``qr_factor``), a
-round-robin Jacobi eigensolver finished by Cayley steps (``eigensystem``,
-``spectral_decompose``), scalar functions of a symmetric matrix through its
-spectrum (``apply_function``) and the unique skew + upper-triangular
-splitting.  Each checks its matrices once and hands them to
-``matslice.kernels``, which holds the algorithms and validates nothing.
+Jacobi eigensolver by simultaneous Cayley steps with round-robin sweeps as
+their fallback (``eigensystem``, ``spectral_decompose``), scalar functions of
+a symmetric matrix through its spectrum (``apply_function``) and the unique
+skew + upper-triangular splitting.  Each checks its matrices once and hands
+them to ``matslice.kernels``, which holds the algorithms and validates nothing.
 """
 
 from __future__ import annotations
@@ -73,9 +73,8 @@ def as_symmetric(m) -> np.ndarray:
 
 
 def offdiag_norm(s) -> float:
-    """Frobenius norm of the off-diagonal part."""
-    a = np.asarray(s, dtype=float)
-    return frobenius(a - np.diag(np.diag(a)))
+    """Frobenius norm of the off-diagonal part of a finite square matrix."""
+    return kernels.offdiag_norm(as_square(s))
 
 
 def qr_factor(m) -> tuple[np.ndarray, np.ndarray]:
@@ -212,12 +211,15 @@ class SpectralFunction:
 
     def flow_log_weights(self, lam, times: np.ndarray) -> list[np.ndarray]:
         """t g(lam) for each time t, the log-weights of the Lax flow of g; for
-        exp sign(t) e^(lam + log|t|) (0 at t = 0), as e^lam may overflow where
-        t e^lam does not.  An overflow gives inf, refused as spread inf."""
+        exp and x^k (k != 0) sign(t) sign(g(lam)) e^(log|g(lam)| + log|t|) (0 at
+        t = 0), log|g| as a step takes it, as g(lam) may overflow where t g(lam)
+        does not.  An overflow gives inf, refused as spread inf."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if self.kind == "exp":
-                return [np.copysign(np.exp(lam + math.log(abs(t))), t) if t else 0.0 * lam
-                        for t in times.tolist()]
+            if self.kind == "exp" or (self.kind == "power" and self.exponent):
+                logs = self.step_log_weights(lam)
+                signs = np.sign(lam) ** float(self.exponent) if self.exponent else 1.0
+                return [signs * np.copysign(np.exp(logs + math.log(abs(t))), t) if t
+                        else 0.0 * lam for t in times.tolist()]
             vals = function_values(self, lam)
             return [t * vals for t in times]
 

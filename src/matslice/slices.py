@@ -36,7 +36,7 @@ def as_time_grid(times) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """A sampled matrix path: strictly increasing times, one state per time."""
+    """A sampled matrix path: strictly increasing times, one finite state per time."""
 
     times: np.ndarray
     states: list[np.ndarray]
@@ -49,6 +49,8 @@ class Trajectory:
         for state in self.states:
             if state.shape != (n, n):
                 raise ValueError("all states must share one square shape")
+            if not np.isfinite(state).all():
+                raise ValueError("trajectory states must be finite")
 
     def __len__(self) -> int:
         return len(self.states)

@@ -38,7 +38,6 @@ from .linalg import (
     as_vector,
     eigensystem,
     function_values,
-    offdiag_norm,
 )
 from .slices import Trajectory, as_time_grid, trusted, weighted_conjugate
 
@@ -122,15 +121,25 @@ class ClusterPartition:
 
 
 def hamiltonian(state: TodaState) -> float:
-    """Total energy: kinetic plus exponential nearest-neighbor potential."""
+    """Total energy: kinetic plus exponential nearest-neighbor potential
+    (DomainViolation when it overflows)."""
     x, y = state.x, state.y
-    return float(0.5 * np.sum(y * y) + np.sum(np.exp(x[:-1] - x[1:])))
+    with np.errstate(over="ignore"):
+        h = float(0.5 * np.sum(y * y) + np.sum(np.exp(x[:-1] - x[1:])))
+    if h == math.inf:
+        raise DomainViolation("the energy of this state overflows double precision")
+    return h
 
 
 def flaschka(state: TodaState) -> np.ndarray:
-    """Jacobi matrix of a particle state: diag -y/2, superdiag exp(gap/2)/2."""
+    """Jacobi matrix of a particle state: diag -y/2, superdiag exp(gap/2)/2
+    (DomainViolation when a bond overflows)."""
     x = state.x
-    return kernels.tridiagonal(-0.5 * state.y, 0.5 * np.exp(0.5 * (x[:-1] - x[1:])))
+    with np.errstate(over="ignore"):
+        bonds = 0.5 * np.exp(0.5 * (x[:-1] - x[1:]))
+    if not bonds.max() < math.inf:
+        raise DomainViolation("the Flaschka map of this state overflows double precision")
+    return kernels.tridiagonal(-0.5 * state.y, bonds)
 
 
 def inverse_flaschka(j) -> TodaState:
@@ -148,9 +157,14 @@ def inverse_flaschka(j) -> TodaState:
 
 
 def particle_field(state: TodaState) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side of Hamilton's equations for the particle system."""
+    """Right-hand side of Hamilton's equations for the particle system
+    (DomainViolation when a force overflows)."""
     z = np.vstack([state.x, state.y])
-    return tuple(_hamilton_field(state.n)(z, np.empty_like(z)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dz = _hamilton_field(state.n)(z, np.empty_like(z))
+    if not np.isfinite(dz).all():
+        raise DomainViolation("the particle field of this state overflows double precision")
+    return tuple(dz)
 
 
 def _hamilton_field(n: int):
@@ -390,18 +404,6 @@ class ConvergenceReport:
     def steps(self) -> int:
         return len(self.times) - 1
 
-    def to_dict(self) -> dict:
-        """JSON-ready summary (permutations and bonds 1-based there)."""
-        return {
-            "converged": bool(self.converged),
-            "steps": int(self.steps),
-            "final_offdiag": float(self.final_offdiag),
-            "diagonal_order": [int(k) + 1 for k in self.diagonal_order],
-            "broken_bonds": [int(k) + 1 for k in self.broken_bonds],
-            "final_diagonal": [float(v) for v in self.diagonals[-1]],
-            "spectrum": [float(v) for v in self.spectrum],
-        }
-
 
 def _match_order(diagonal: np.ndarray, spectrum: np.ndarray) -> tuple[int, ...]:
     """Greedy nearest-unused assignment, exact for converged trajectories; the
@@ -420,7 +422,7 @@ def convergence_diagnostics(traj: Trajectory) -> ConvergenceReport:
     offs = np.empty(len(traj.states))
     for k, state in enumerate(traj.states):
         try:
-            offs[k] = offdiag_norm(state)
+            offs[k] = kernels.offdiag_norm(state)
         except OverflowError as exc:
             raise OverflowError(f"off-diagonal norm of sample {k}: {exc}") from None
     diags = np.array([np.diag(state) for state in traj.states])

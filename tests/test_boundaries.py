@@ -101,3 +101,18 @@ def test_only_linalg_reads_the_fields_of_a_spectral_function():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Attribute) and node.attr in KIND_INTERNALS]
     assert not found, "\n".join(found)
+
+
+def test_file_rules_live_in_fileio():
+    # "-" means standard input or output in fileio alone, and the command
+    # line's subcommands take what main loaded from --in instead of reading
+    found = [f"{path.name}:{node.lineno}: reads {dotted(node)}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "fileio"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and dotted(node) in ("sys.stdin", "sys.stdout")]
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    found += [f"cli.py:{node.lineno}: {fn.name} calls {dotted(node.func)}"
+              for fn in cli.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Call) and (dotted(node.func) or "").startswith("fileio.read_")]
+    assert not found, "\n".join(found)

@@ -446,6 +446,22 @@ def test_random_dimension_below_two_is_bad_usage(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [("--kind", "symmetric", "--spectrum", "3,2,1"),
+                                  ("--kind", "spectrum", "--n", "3", "--spectrum", "3,2,1"),
+                                  ("--kind", "jacobi", "--n", "4", "--spectrum", "3,2,1")],
+                         ids=["symmetric", "spectrum", "jacobi n=4"])
+def test_random_spectrum_it_cannot_use_is_bad_usage(tmp_path, capsys, monkeypatch, argv):
+    # the first two exited 0 and ignored the spectrum, the last exited 1
+    def no_draw(seed):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(cli, "default_rng", no_draw)
+    out = tmp_path / "out.json"
+    assert run("random", *argv, "--seed", "1", "--out", out) == 2
+    assert "--spectrum" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_function_power_exponents():
     for text, exponent in [("2", 2), ("-3", -3), ("0", 0), ("1/3", Fraction(1, 3)),
                            ("4/2", 2)]:

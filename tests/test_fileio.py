@@ -14,6 +14,7 @@ from matslice import (
     Trajectory,
     TodaState,
     accessible_vertices,
+    convergence_diagnostics,
     hamiltonian,
     iterate_qr,
     particle_flow,
@@ -29,6 +30,7 @@ from matslice.fileio import (
     read_toda_state,
     read_trajectory_csv,
     read_vertex_set,
+    write_convergence_report,
     write_matrix,
     write_moser,
     write_particle_csv,
@@ -57,6 +59,17 @@ def test_matrix_round_trip_is_bit_exact(tmp_path):
     write_matrix(m, path)
     back = read_matrix(path)
     assert np.array_equal(back, m)
+
+
+def test_dash_is_standard_input_and_output(tmp_path, monkeypatch, capsys):
+    # only the command line mapped "-"; from Python it made a file named "-"
+    monkeypatch.chdir(tmp_path)
+    m = random_symmetric(3, np.random.default_rng(805))
+    write_matrix(m, "-")
+    text = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert np.array_equal(read_matrix("-"), m)
+    assert not (tmp_path / "-").exists()
 
 
 def test_matrix_write_is_deterministic():
@@ -327,6 +340,19 @@ def test_csv_writers_match_the_per_cell_reference_bytewise():
 
 
 # ------------------------------------------------------------------- reports
+
+def test_convergence_report_is_written_with_one_based_indices():
+    j = np.diag([1.0, 3.0, 2.0]) + np.diag([0.01, 0.01], 1) + np.diag([0.01, 0.01], -1)
+    rep = convergence_diagnostics(iterate_qr(j, 60))
+    assert rep.broken_bonds == (0, 1)
+    back, _ = roundtrip(write_convergence_report, read_report, rep)
+    assert list(back) == ["converged", "steps", "final_offdiag", "diagonal_order",
+                          "broken_bonds", "final_diagonal", "spectrum"]
+    assert back["diagonal_order"] == [k + 1 for k in rep.diagonal_order]
+    assert back["broken_bonds"] == [k + 1 for k in rep.broken_bonds]
+    assert back["final_diagonal"] == rep.diagonals[-1].tolist()
+    assert back["steps"] == 60
+
 
 def test_report_round_trip():
     rep = {"converged": True, "steps": 12, "final_offdiag": 1e-9,

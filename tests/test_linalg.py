@@ -337,7 +337,14 @@ def branch_step_log_weights(f, lam):
 
 
 def branch_flow_log_weights(g, lam, times):
-    """The log-weights of a factorized flow as the flow itself once wrote them."""
+    """The log-weights of a factorized flow as the flow itself once wrote them;
+    for x^k (k != 0) sign(t) sign(lam)^k e^(k log|lam| + log|t|), the closed
+    log form of its steps, which answers where lam^k overflows and t lam^k
+    does not."""
+    if g.kind == "power" and g.exponent:
+        k = float(g.exponent)
+        return [np.sign(lam) ** k * np.copysign(np.exp(k * np.log(np.abs(lam)) + math.log(abs(t))),
+                                                t) if t else 0.0 * lam for t in times.tolist()]
     if g.kind == "exp":
         with np.errstate(over="ignore"):
             return [np.copysign(np.exp(1.0 * lam + math.log(abs(t))), t) if t else 0.0 * lam
@@ -584,3 +591,11 @@ def test_norm_helpers():
     npt.assert_array_equal(symmetrize(m), [[3.0, 2.0], [2.0, 0.0]])
     with pytest.raises(ValueError):
         as_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def test_offdiag_norm_checks_its_matrix():
+    # it returned nan for a NaN entry and 0.0 for a vector
+    with pytest.raises(ValueError, match="finite"):
+        offdiag_norm([[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(DimensionMismatch):
+        offdiag_norm([1.0, 2.0])

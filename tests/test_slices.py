@@ -338,6 +338,13 @@ def test_trajectory_refuses_states_of_mixed_shapes():
         Trajectory(times=[0.0, 1.0], states=[np.eye(2), np.eye(3)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trajectory_refuses_non_finite_states(bad):
+    # write_trajectory_csv wrote such a trajectory, which read_trajectory_csv refused
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory(times=[0.0, 1.0], states=[np.eye(2), np.diag([1.0, bad])])
+
+
 @pytest.mark.parametrize("steps", [-1, 1.5, "3"])
 def test_iterate_qr_refuses_a_bad_step_count(steps):
     with pytest.raises(ValueError, match="nonnegative integer"):

@@ -1,3 +1,4 @@
+import io
 import math
 import warnings
 from fractions import Fraction
@@ -42,6 +43,7 @@ from matslice import (
     toda_field,
 )
 from matslice import kernels, linalg, slices, toda
+from matslice.fileio import read_report, write_convergence_report
 from conftest import matrix_function_oracle, maxabs
 
 IDENTITY = SpectralFunction.identity()
@@ -71,6 +73,16 @@ def test_particle_field_frozen_values():
     dx, dy = particle_field(st)
     npt.assert_array_equal(dx, [1.0, 2.0, 3.0])
     npt.assert_array_equal(dy, [-1.0, 0.0, 1.0])  # unit forces on both bonds
+
+
+@pytest.mark.parametrize("call, x", [(flaschka, [0.0, -2000.0]),
+                                     (particle_field, [0.0, -2000.0]),
+                                     (hamiltonian, [1e308, -1e308])],
+                         ids=["flaschka", "particle_field", "hamiltonian"])
+def test_particle_maps_refuse_states_past_the_double_range(call, x):
+    # each leaked an overflow RuntimeWarning (e^1000, e^2000, a gap of 2e308)
+    with pytest.raises(DomainViolation, match="overflows double precision"):
+        call(TodaState(x=x, y=[0.0, 0.0]))
 
 
 def test_flaschka_inverse_round_trip():
@@ -774,6 +786,20 @@ def test_detect_clusters():
         detect_clusters(np.ones((3, 3)))
 
 
+def test_power_flow_answers_where_only_g_of_the_spectrum_overflows():
+    # lam^2 passes the double range at 2^530 * 17, t lam^2 does not: the flow
+    # refused every sample as spread inf, t = 0 (the input itself) included
+    j = random_jacobi(4, np.random.default_rng(3), spectrum=[17.0, 9.0, 4.0, 1.0])
+    big, g = np.ldexp(j, 530), SpectralFunction.power(2)
+    lam = np.ldexp([17.0, 9.0, 4.0, 1.0], 530)
+    (u,) = g.flow_log_weights(lam, np.array([2.0 ** -1060]))
+    npt.assert_allclose(u, [289.0, 81.0, 16.0, 1.0], rtol=1e-14)
+    top = np.abs(big).max()
+    want = np.ldexp(flow_factorized(j, g, 1.0), 530)
+    assert np.abs(flow_factorized(big, g, 2.0 ** -1060) - want).max() <= 1e-15 * top
+    assert np.abs(flow_factorized(big, g, 0.0) - big).max() <= 1e-15 * top
+
+
 def test_convergence_diagnostics_on_qr_iteration():
     rng = np.random.default_rng(619)
     s = random_with_spectrum([4.0, 2.0, 1.0], rng)
@@ -787,7 +813,10 @@ def test_convergence_diagnostics_on_qr_iteration():
     npt.assert_allclose(rep.spectrum, [4.0, 2.0, 1.0], atol=1e-9)
     # early steps may churn, but the late stage must decay steadily
     assert bool(np.all(rep.monotone[-40:]))
-    doc = rep.to_dict()
+    buf = io.StringIO()
+    write_convergence_report(rep, buf)
+    buf.seek(0)
+    doc = read_report(buf)
     assert doc["converged"] is True
     assert doc["steps"] == 80
     assert doc["diagonal_order"] == [1, 2, 3]  # 1-based on the way out

@@ -44,10 +44,11 @@ W = [0.5, 0.5, 0.7]
 
 def cli_spectrum(v):
     """``matslice random --kind jacobi --spectrum=v --n 3``; a refusal (exit 2
-    for bad usage, 1 for a spectrum that is not of length 3) is raised as a
-    ValueError carrying what the command printed.  The spectrum goes first,
-    so its parse error wins, and after "=", as argparse reads a separate
-    value starting with "-" (say -inf) as an option."""
+    for bad usage, a spectrum that is not of length 3 included, refused
+    before any draw) is raised as a ValueError carrying what the command
+    printed.  The spectrum goes first, so its parse error wins, and after
+    "=", as argparse reads a separate value starting with "-" (say -inf) as
+    an option."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(["random", "--kind", "jacobi", "--spectrum=" + ",".join(map(str, v)),
