@@ -7,16 +7,16 @@ iteration is one of the objects under study: simultaneous Jacobi steps, each
 one Cayley transform over every pair, with rotation sweeps as their fallback
 where a step contracts the off-diagonal norm too little.  Its core,
 ``jacobi_unordered``, leaves the eigensystem in the order its passes give;
-``jacobi_eigensystem`` sorts it and fixes the signs.  Cold solves are
-memoized by the exact bytes of the matrix, for the 8 most recent matrices per
-process, so repeated calls on one matrix return bitwise-identical results;
-warm starts bypass the memo.  QR is LAPACK's, by numpy's gufuncs.  Both
-divide their input by 2^``binade`` of it (exact) and scale the result back,
-and so do every norm and relative threshold (``tolerance``), so results do
-not depend on the input's scale.  The skew split has two independent
-builders, ``skew_part`` (``np.tril``) and the Lax field's sign matrix ``skew_signs``;
-``tridiagonal`` builds every band matrix.  Imports nothing of matslice but
-``errors``.
+``jacobi_eigensystem``, the one cold entry, sorts it, fixes the signs and
+memoizes the result by the exact bytes of the matrix (the 8 most recent per
+process), so repeated calls on one matrix return bitwise-identical results;
+warm starts, ``jacobi_unordered(a, start)``, bypass the memo.  QR is
+LAPACK's, by numpy's gufuncs.  Both divide their input by 2^``binade`` of it
+(exact) and scale the result back, and so do every norm and relative
+threshold (``tolerance``), so results do not depend on the input's scale.
+The skew split has two independent builders, ``skew_part`` (``np.tril``) and
+the Lax field's sign matrix ``skew_signs``; ``tridiagonal`` builds every band
+matrix.  Imports nothing of matslice but ``errors``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ CONTRACTION = (0.9, 0.9, 0.5)  # off-diagonal norm ratio keeping a Cayley step: 
 COLD_MEMO_SIZE = 8           # most recent cold eigensystems kept per process
 _MAX_SWEEPS = 50             # passes (kept Cayley steps or sweeps) before giving up
 _SIGN_PICK_TOL = 1e-12       # "first nonzero" cutoff for the eigenvector sign fix
+_EXP_SPREAD_LIMIT = 700.0    # beyond this, weight ratios underflow double precision
 
 
 def binade(a: np.ndarray) -> int:
@@ -106,6 +107,26 @@ def invertible_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"threshold {threshold:.3e}; matrix is numerically singular"
         )
     return q, r
+
+
+def weighted_conjugate(lam: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``slices.weighted_conjugate`` unchecked, which also raises SingularMatrix
+    for a u that is not finite (a zero or an overflow of f in a step's log|f|)."""
+    top, bottom = float(u.max()), float(u.min())
+    spread = top - bottom if math.isfinite(bottom) else math.inf
+    if not spread <= _EXP_SPREAD_LIMIT:
+        raise SingularMatrix(f"log-weight spread {spread:.6g} exceeds {_EXP_SPREAD_LIMIT:.0f}; "
+                             "the weighted QR factor is undefined in double precision")
+    w = np.exp(u - top)
+    # Householder elimination only keeps the faint rows accurate when the
+    # dominant rows come first; factor the row-sorted matrix instead and
+    # undo the permutation on the orthogonal factor.  P^T Qtilde is
+    # orthogonal and Rtilde stays upper with positive diagonal, so by
+    # uniqueness this *is* the orthogonal factor of diag(w) q itself.
+    order = np.argsort(-w, kind="stable")
+    qtilde, _ = householder_qr(w[order, None] * q[order, :])
+    qf = qtilde[np.argsort(order), :]
+    return symmetrize((qf.T * lam).dot(qf))
 
 
 @functools.cache
@@ -230,35 +251,26 @@ def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
 
 
 @functools.lru_cache(maxsize=COLD_MEMO_SIZE)
-def _cold_unordered(n: int, data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``jacobi_unordered`` of the n x n matrix whose bytes are data."""
-    result = jacobi_unordered(np.frombuffer(data).reshape(n, n))
+def _cold_eigensystem(n: int, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``jacobi_eigensystem`` of the n x n matrix whose bytes are data."""
+    lam, q = jacobi_unordered(np.frombuffer(data).reshape(n, n))
+    order = (-lam).argsort(kind="stable")
+    q = q.T[:, order].T
+    first = (np.abs(q) > _SIGN_PICK_TOL).argmax(axis=1)
+    flip = q[solver_layout(n)[1], first] < 0.0
+    result = lam[order], np.where(flip[:, None], -q, q)
     for x in result:
         x.flags.writeable = False  # shared by every caller through the cache
     return result
 
 
-def unordered_eigensystem(a: np.ndarray, start: np.ndarray | None = None
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """``jacobi_unordered`` behind a memo of the ``COLD_MEMO_SIZE`` most recent
-    cold solves, keyed by the exact bytes of a: the solver is deterministic,
-    so a hit (read-only arrays) is bitwise a fresh solve.  A warm start
-    neither reads nor fills the memo."""
-    if start is None:
-        return _cold_unordered(len(a), a.tobytes())
-    return jacobi_unordered(a, start)
-
-
 def jacobi_eigensystem(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cold ``unordered_eigensystem`` laid out as ``linalg.eigensystem``
-    documents: new arrays, lam descending (stable sort), each row's first
-    entry above 1e-12 made positive."""
-    lam, q = unordered_eigensystem(a)
-    order = (-lam).argsort(kind="stable")
-    q = q.T[:, order].T
-    first = (np.abs(q) > _SIGN_PICK_TOL).argmax(axis=1)
-    flip = q[solver_layout(len(lam))[1], first] < 0.0
-    return lam[order], np.where(flip[:, None], -q, q)
+    """Cold ``jacobi_unordered`` laid out as ``linalg.eigensystem`` documents:
+    lam descending (stable sort), each row's first entry above 1e-12 made
+    positive.  New arrays from a memo of the ``COLD_MEMO_SIZE`` most recent
+    matrices, keyed by their exact bytes: a hit is bitwise a fresh solve."""
+    lam, q = _cold_eigensystem(len(a), a.tobytes())
+    return lam.copy(), q.copy()
 
 
 def simplicity_margin(lam: np.ndarray) -> tuple[float, float]:

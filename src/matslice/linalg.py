@@ -199,7 +199,7 @@ class SpectralFunction:
         """log|f(lam)| up to a constant, the log-weights of a functional step:
         k log|lam| for x^k (k != 0) and lam for exp, which never form f (it may
         overflow); any other f over max|f|, exact under 2^m scaling.  A zero of
-        f gives -inf, an overflow inf or NaN: ``slices.weighted_conjugate``
+        f gives -inf, an overflow inf or NaN: ``kernels.weighted_conjugate``
         refuses both as spread inf."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if self.kind == "exp":

@@ -3,27 +3,24 @@
 A slice here is the set of symmetric matrices reachable from a starting point
 by conjugating with the orthogonal factor of f(S) for functions f that do not
 vanish on the spectrum.  In the eigenbasis that is one operation on
-log-weights, ``weighted_conjugate``, which alone shifts and refuses them:
-log|f| gives ``functional_step`` (f(x) = x is one QR step), log w
-``slice_point`` and t g the Toda/Lax flows of ``toda``.  The k-th root gives
-fractional steps whose rescaled differences converge to the interpolating
-vector field [S, skew_part(log S)].
+log-weights, ``weighted_conjugate`` (checked here, its core in ``kernels``),
+which alone shifts and refuses them: log|f| gives ``functional_step``
+(f(x) = x is one QR step), log w ``slice_point`` and t g the Toda/Lax flows of
+``toda``.  The k-th root gives fractional steps whose rescaled differences
+converge to the interpolating vector field [S, skew_part(log S)].
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import kernels
-from .errors import DomainViolation, SingularMatrix
+from .errors import DomainViolation
 from .kernels import IRREDUCIBLE_RTOL  # the coupling threshold of is_irreducible
-from .linalg import SpectralFunction, as_symmetric, as_vector, symmetrize
-
-_EXP_SPREAD_LIMIT = 700.0  # beyond this, weight ratios underflow double precision
+from .linalg import SpectralFunction, as_square, as_symmetric, as_vector, symmetrize
 
 
 def as_time_grid(times) -> np.ndarray:
@@ -78,25 +75,14 @@ def weighted_conjugate(lam, q, u) -> np.ndarray:
     operation behind every slice move, with log-weights u = t g(lam) for a Lax
     flow at time t, log|f(lam)| for a functional step or log w for a slice
     point.  Only differences of u matter: the largest weight is made exactly 1.
-    Raises SingularMatrix when max u - min u exceeds 700 (or u is not finite),
-    an exponent spread that double precision cannot resolve.
+    q must be a square matrix (DimensionMismatch), lam and u vectors of its
+    size, all finite (ValueError).  Raises SingularMatrix when max u - min u
+    exceeds 700, an exponent spread that double precision cannot resolve.
     """
-    u = np.asarray(u, dtype=float)
-    top, bottom = float(u.max()), float(u.min())
-    spread = top - bottom if math.isfinite(bottom) else math.inf
-    if not spread <= _EXP_SPREAD_LIMIT:
-        raise SingularMatrix(f"log-weight spread {spread:.6g} exceeds {_EXP_SPREAD_LIMIT:.0f}; "
-                             "the weighted QR factor is undefined in double precision")
-    w = np.exp(u - top)
-    # Householder elimination only keeps the faint rows accurate when the
-    # dominant rows come first; factor the row-sorted matrix instead and
-    # undo the permutation on the orthogonal factor.  P^T Qtilde is
-    # orthogonal and Rtilde stays upper with positive diagonal, so by
-    # uniqueness this *is* the orthogonal factor of diag(w) q itself.
-    order = np.argsort(-w, kind="stable")
-    qtilde, _ = kernels.householder_qr(w[order, None] * q[order, :])
-    qf = qtilde[np.argsort(order), :]
-    return symmetrize((qf.T * lam).dot(qf))
+    q = as_square(q)
+    n = len(q)
+    return kernels.weighted_conjugate(as_vector(lam, "eigenvalues", n), q,
+                                      as_vector(u, "log-weights", n))
 
 
 def _step(a: np.ndarray, f: SpectralFunction) -> np.ndarray:
@@ -106,7 +92,7 @@ def _step(a: np.ndarray, f: SpectralFunction) -> np.ndarray:
         q, r = kernels.invertible_qr(a)
         return symmetrize(r.dot(q))
     lam, q = kernels.jacobi_eigensystem(a)
-    return weighted_conjugate(lam, q, f.step_log_weights(lam))
+    return kernels.weighted_conjugate(lam, q, f.step_log_weights(lam))
 
 
 def qr_step(s) -> np.ndarray:
@@ -165,7 +151,7 @@ def slice_point(s, w) -> np.ndarray:
     if float(w.min()) <= 0.0:
         raise DomainViolation("slice weights must be strictly positive")
     lam, q = kernels.simple_eigensystem(a)
-    return weighted_conjugate(lam, q, np.log(w / w.max()))
+    return kernels.weighted_conjugate(lam, q, np.log(w / w.max()))
 
 
 def is_irreducible(s) -> bool:

@@ -39,7 +39,7 @@ from .linalg import (
     eigensystem,
     function_values,
 )
-from .slices import Trajectory, as_time_grid, trusted, weighted_conjugate
+from .slices import Trajectory, as_time_grid, trusted
 
 CONVERGED_RTOL = 1e-6
 BOND_RTOL = 1e-8  # a bond at or below this times ||S|| counts as broken
@@ -202,10 +202,10 @@ def _field(g: SpectralFunction, n: int):
     goes by Horner on (g(x) - g(0)) / x times a, with no eigensolve: from c_k a,
     one diagonal shift (none for a zero coefficient) and one product by a per
     lower coefficient; constant g gives 0.  Every other g warm-starts each
-    eigensolve on the solver's unordered core (q.T diag(g(lam)) q ignores the
-    order and signs of q's rows) from the eigenbasis of the call before (the
-    first solve is cold, through the memo): RK4 stages differ by O(dt), so
-    the eigensolver finishes by Cayley steps.
+    eigensolve on the solver's unordered core (it and q.T diag(g(lam)) q ignore
+    the order and signs of q's rows) from the eigenbasis of the call before;
+    the first is ``kernels.jacobi_eigensystem``, cold and memoized.  RK4 stages
+    differ by O(dt), so the eigensolver finishes by Cayley steps.
     """
     sigma, eye = kernels.skew_signs(n), kernels.solver_layout(n)[0]
     b, c = np.empty((2, n, n))  # g(a) * sigma and a @ b, reused by every call
@@ -230,7 +230,8 @@ def _field(g: SpectralFunction, n: int):
 
     def field(a: np.ndarray, out: np.ndarray):
         nonlocal basis
-        lam, basis = kernels.unordered_eigensystem(a, basis)
+        lam, basis = (kernels.jacobi_eigensystem(a) if basis is None
+                      else kernels.jacobi_unordered(a, basis))
         return lax(a, (basis.T * function_values(g, lam)).dot(basis), out)
 
     return field
@@ -264,7 +265,7 @@ def flow_factorized_trajectory(s0, g: SpectralFunction, times) -> Trajectory:
     """
     times = as_time_grid(times)
     lam, q = kernels.jacobi_eigensystem(as_symmetric(s0))
-    states = [weighted_conjugate(lam, q, u) for u in g.flow_log_weights(lam, times)]
+    states = [kernels.weighted_conjugate(lam, q, u) for u in g.flow_log_weights(lam, times)]
     return trusted(Trajectory, times=times, states=states)
 
 

@@ -15,7 +15,7 @@ from matslice import kernels, symmetrize
 def cold_memo_cleared():
     """Start every test with an empty memo of cold eigensolves, so a spy on
     the eigensolver sees the same solves whatever ran before."""
-    kernels._cold_unordered.cache_clear()
+    kernels._cold_eigensystem.cache_clear()
 
 
 def maxabs(a) -> float:

@@ -116,3 +116,26 @@ def test_file_rules_live_in_fileio():
               for node in ast.walk(fn)
               if isinstance(node, ast.Call) and (dotted(node.func) or "").startswith("fileio.read_")]
     assert not found, "\n".join(found)
+
+
+def solver_calls(path: Path) -> list[tuple[int, bool]]:
+    """(line, warm) for each call of the eigensolver's core, ``jacobi_unordered``:
+    warm when it passes a start, the second argument or ``start``, that is not None."""
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and (dotted(node.func) or "").endswith("jacobi_unordered"):
+            start = node.args[1:2] + [k.value for k in node.keywords if k.arg == "start"]
+            warm = any(not (isinstance(x, ast.Constant) and x.value is None) for x in start)
+            calls.append((node.lineno, warm))
+    return calls
+
+
+def test_every_cold_eigensolve_goes_through_the_memo():
+    # outside kernels the core runs warm only; a cold solve is
+    # kernels.jacobi_eigensystem, whose memo a cold call of the core would skip
+    calls = {path.name: solver_calls(path)
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "kernels"}
+    cold = [f"{name}:{line}: jacobi_unordered without a start"
+            for name, found in calls.items() for line, warm in found if not warm]
+    assert not cold, "\n".join(cold)
+    assert any(warm for found in calls.values() for _, warm in found)  # the Lax field's chain

@@ -216,7 +216,7 @@ def test_warm_flow_solves_finish_by_cayley_steps_alone(sweeps):
 
 def test_cold_solve_hands_over_to_cayley_steps(sweeps):
     # rotations alone take 5 sweeps on this matrix; the Cayley steps of
-    # every pair at once leave 1 (the Cayley finish before them left 3)
+    # every pair at once leave 0 (the Cayley finish before them left 3)
     kernels.jacobi_eigensystem(random_symmetric(8, default_rng(8)))
     assert sweeps[0][1] < 5
 
@@ -245,7 +245,7 @@ def test_pass_cap_bounds_cayley_steps(sweeps, monkeypatch):
     _, start = kernels.jacobi_eigensystem(a + 1e-4 * random_symmetric(6, default_rng(4)))
     monkeypatch.setattr(kernels, "_MAX_SWEEPS", 1)
     with pytest.raises(ArithmeticError):
-        kernels.unordered_eigensystem(a, start)
+        kernels.jacobi_unordered(a, start)
     assert sweeps[-1] == [True, 0]  # its one pass was a kept Cayley step, not enough
 
 
@@ -327,7 +327,7 @@ def benchmark_matrices():
 
 
 def memo():
-    info = kernels._cold_unordered.cache_info()
+    info = kernels._cold_eigensystem.cache_info()
     return info.hits, info.misses, info.currsize
 
 
@@ -338,23 +338,26 @@ def as_bytes(arrays):
 @pytest.mark.parametrize("case", range(7))
 def test_cold_memo_hit_is_bitwise_a_fresh_solve(case, sweeps):
     a = list(benchmark_matrices())[case]
-    unordered = as_bytes(kernels.jacobi_unordered(a))  # the solver itself, no memo
-    kernels._cold_unordered.cache_clear()
+    fresh = as_bytes(kernels.jacobi_eigensystem(a))
+    kernels._cold_eigensystem.cache_clear()
     missed = as_bytes(kernels.jacobi_eigensystem(a))
-    assert memo() == (0, 1, 1)
+    assert missed == fresh and memo() == (0, 1, 1)
     assert as_bytes(kernels.jacobi_eigensystem(a)) == missed
-    assert as_bytes(kernels.unordered_eigensystem(a)) == unordered
+    assert as_bytes(kernels.jacobi_eigensystem(a.copy())) == missed
     assert memo() == (2, 1, 1)
-    assert [warm for warm, _ in sweeps] == [False, False]  # the direct solve, the miss
+    assert [warm for warm, _ in sweeps] == [False, False]  # the first solve, the miss
 
 
 def test_cold_memo_arrays_are_read_only():
     a = random_symmetric(5, default_rng(2))
-    lam, q = kernels.unordered_eigensystem(a)
-    assert kernels.unordered_eigensystem(a)[1] is q
+    lam, q = kernels._cold_eigensystem(len(a), a.tobytes())
+    assert kernels._cold_eigensystem(len(a), a.tobytes())[1] is q
     for x in (lam, q):
         with pytest.raises(ValueError, match="read-only"):
             x.flat[0] = x.flat[0]
+    got = kernels.jacobi_eigensystem(a)  # fresh writable copies of the kept arrays
+    for x, kept in zip(got, (lam, q)):
+        assert x is not kept and x.flags.writeable and x.tobytes() == kept.tobytes()
 
 
 def test_results_stay_writable_and_writing_them_changes_no_later_solve():
@@ -375,12 +378,11 @@ def test_warm_solves_neither_read_nor_fill_the_memo(sweeps):
     _, near = kernels.jacobi_eigensystem(a + 1e-6 * random_symmetric(6, default_rng(4)))
     before = memo()
     kernels.jacobi_unordered(a, near)
-    kernels.unordered_eigensystem(a, near)
     assert memo() == before == (0, 1, 1)
     kernels.jacobi_eigensystem(a)  # now a is in the memo
-    kernels.unordered_eigensystem(a, near)
+    kernels.jacobi_unordered(a, near)
     assert memo() == (0, 2, 2)
-    assert [warm for warm, _ in sweeps] == [False, True, True, False, True]
+    assert [warm for warm, _ in sweeps] == [False, True, False, True]
 
 
 def test_a_matrix_one_ulp_away_misses(sweeps):
@@ -468,14 +470,14 @@ def test_cold_and_warm_solves_are_bitwise_the_reference():
         assert as_bytes(kernels.jacobi_unordered(s)) == as_bytes(reference_unordered(s))
         if len(s) > 6:
             continue
-        stages, field = [], kernels.unordered_eigensystem
+        stages, solve = [], kernels.jacobi_unordered
 
         def recording(a, start=None):
             stages.append((a.copy(), None if start is None else start.copy()))
-            return field(a, start)
+            return solve(a, start)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernels, "unordered_eigensystem", recording)
+            patch.setattr(kernels, "jacobi_unordered", recording)
             flow_integrated(s, FlowConfig(log, 0.16, 0.008))
         assert len(stages) == 80 and all(start is not None for _, start in stages[1:])
         for a, start in stages:

@@ -201,7 +201,7 @@ def test_warm_start_gives_the_cold_eigensystem(case):
     lam, q = eigensystem(s)
     _, unrelated = eigensystem(symmetrize(rng.normal(size=(n, n))))
     for start in (np.eye(n), random_orthogonal(n, rng), q, unrelated):
-        lam_w, q_w = kernels.unordered_eigensystem(s, start)
+        lam_w, q_w = kernels.jacobi_unordered(s, start)
         npt.assert_allclose(np.sort(lam_w)[::-1], lam, atol=1e-12 * scale)
         npt.assert_allclose((q_w.T * lam_w) @ q_w, s, atol=1e-12 * scale)
         npt.assert_allclose(q_w @ q_w.T, np.eye(n), atol=1e-13)

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from conftest import golden_matrix
 from matslice import (
+    DomainViolation,
+    FlowConfig,
     MatSliceError,
     MoserCoordinates,
     TodaState,
@@ -32,6 +34,7 @@ from matslice import (
     descending_spectrum,
     detect_clusters,
     eigensystem,
+    flow_integrated,
     frobenius,
     hull_member,
     is_irreducible,
@@ -46,6 +49,7 @@ from matslice import (
     qr_factor,
     qr_step,
     random_jacobi,
+    random_symmetric,
     random_with_spectrum,
     slice_point,
     spectral_decompose,
@@ -242,6 +246,23 @@ def test_every_decision_is_the_same_at_every_scale(c):
     # and the bond counts differently at 1e150
     wrong = {name: got for name, decide, want in DECISIONS if (got := decide(c)) != want}
     assert wrong == {}
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, DomainViolation), reason=(
+    "ROADMAP Baseline, flows at extreme scales (item 12): the Lax field is "
+    "quadratic in S, so its entries underflow below c = 2^-500 and overflow "
+    "from c = 2^512"))
+def test_identity_flow_scales_with_its_input_at_every_scale():
+    # c S over times t / c is c S(t): bitwise from 2^-500 to 2^511 today,
+    # 55% off at 2^-540 with no error, and "no step size helps" at 2^512.
+    # Once this passes, drop the xfail marker.
+    s = random_symmetric(4, default_rng(0))
+    identity = SpectralFunction.identity()
+    want = flow_integrated(s, FlowConfig(identity, 0.5, 1e-3)).final
+    for e in (-540, -500, 511, 512):
+        c = math.ldexp(1.0, e)
+        got = flow_integrated(c * s, FlowConfig(identity, 0.5 / c, 1e-3 / c)).final
+        assert np.abs(got / c - want).max() <= 1e-12 * np.abs(want).max(), e
 
 
 @pytest.mark.parametrize("member", [hull_member, majorization_member])

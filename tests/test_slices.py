@@ -8,6 +8,7 @@ import pytest
 
 from matslice import (
     DegenerateSpectrum,
+    DimensionMismatch,
     DomainViolation,
     SingularMatrix,
     SpectralFunction,
@@ -31,6 +32,7 @@ from matslice import (
     random_with_spectrum,
     slice_point,
     symmetrize,
+    weighted_conjugate,
 )
 from matslice import slices
 from matslice.slices import IRREDUCIBLE_RTOL
@@ -193,6 +195,20 @@ def test_power_step_beyond_the_spread_limit_names_the_spread(k):
         functional_step(j, SpectralFunction.power(k))
     spread = float(re.search(r"spread (\S+) ", str(exc.value)).group(1))
     assert spread == pytest.approx(k * math.log(17.0), rel=1e-5)
+
+
+def test_weighted_conjugate_checks_its_matrix_and_keeps_the_spread_limit():
+    # lists are read as arrays, bitwise; q must be a finite square matrix
+    lam, q = eigensystem(random_jacobi(4, default_rng(5), spectrum=[3.0, 1.8, 1.2, 0.6]))
+    u = [0.0, -0.5, -1.0, -2.0]
+    got = weighted_conjugate(lam, q, np.array(u))
+    assert np.array_equal(weighted_conjugate(lam.tolist(), q.tolist(), u), got)
+    with pytest.raises(DimensionMismatch):
+        weighted_conjugate(lam, q[:3], u)
+    with pytest.raises(ValueError, match="finite"):
+        weighted_conjugate(lam, np.where(np.eye(4) > 0, math.nan, q), u)
+    with pytest.raises(SingularMatrix, match="spread 701 exceeds 700"):
+        weighted_conjugate(lam, q, [0.0, -1.0, -2.0, -701.0])
 
 
 def test_functional_step_rejects_f_vanishing_everywhere():

@@ -32,6 +32,7 @@ from matslice import (
     random_with_spectrum,
     slice_point,
     spectral_polytope,
+    weighted_conjugate,
 )
 from matslice.cli import main
 from matslice.linalg import SpectralFunction
@@ -40,6 +41,8 @@ S3 = np.array([[3.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 1.0]])
 LAM = [3.0, 2.0, 1.0]
 POINT = [2.5, 2.0, 1.5]
 W = [0.5, 0.5, 0.7]
+U = [0.0, -0.5, -1.0]
+Q3 = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
 
 
 def cli_spectrum(v):
@@ -66,6 +69,8 @@ CALLS = {
     "moser_reconstruct lam": (lambda v: moser_reconstruct(v, W), LAM),
     "moser_reconstruct w": (lambda v: moser_reconstruct(LAM, v), W),
     "slice_point weights": (lambda v: slice_point(S3, v), W),
+    "weighted_conjugate lam": (lambda v: weighted_conjugate(v, Q3, U), LAM),
+    "weighted_conjugate u": (lambda v: weighted_conjugate(LAM, Q3, v), U),
     "flow_factorized_trajectory times": (
         lambda v: flow_factorized_trajectory(S3, SpectralFunction.identity(), v),
         [0.0, 0.5, 1.0]),
