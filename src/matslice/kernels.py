@@ -130,16 +130,20 @@ def weighted_conjugate(lam: np.ndarray, q: np.ndarray, u: np.ndarray) -> np.ndar
 
 
 @functools.cache
-def round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Brent-Luk round-robin schedule for n indices, built on first use.
-
-    Each round pairs the indices into disjoint (p, t), p < t; the n - 1
-    rounds of a sweep (n rounds for odd n, whose dummy index sits out one
-    index per round) meet every pair exactly once.  Per round: p, t, then the
-    flat positions (row * n + column) of the diagonal and off-diagonal
-    entries that a round reads, then of those it writes into the rotation
-    matrix.
-    """
+def solver_layout(n: int) -> tuple:
+    """Read-only arrays the eigensolver reuses at size n, built on first use:
+    the identity, ``arange(n)``, the row and the column indices of the
+    entries above the diagonal, the flat positions (row * n + column) of
+    those entries, then of their mirrors below it, and last the Brent-Luk
+    round-robin schedule of a sweep.  Each round of it pairs the indices
+    into disjoint (p, t), p < t; the n - 1 rounds (n rounds for odd n, whose
+    dummy index sits out one index per round) meet every pair exactly once.
+    Per round: p, t, then the flat positions of the diagonal and
+    off-diagonal entries that a round reads, then of those it writes into
+    the rotation matrix."""
+    rows, cols = np.triu_indices(n, 1)
+    arrays = [np.eye(n), np.arange(n), rows, cols,
+              np.concatenate((rows * n + cols, cols * n + rows))]
     players = list(range(n + n % 2))  # index n is the dummy for odd n
     rounds = []
     for _ in range(len(players) - 1):
@@ -147,34 +151,20 @@ def round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
         pairs = sorted((min(i, j), max(i, j)) for i, j in
                        zip(players[:half], players[::-1][:half]) if max(i, j) < n)
         p, t = (np.array(side) for side in zip(*pairs))
-        arrays = (p, t, np.concatenate((p, t, p)) * n + np.concatenate((p, t, t)),
-                  np.concatenate((p, t, p, t)) * n + np.concatenate((p, t, t, p)))
-        for x in arrays:
-            x.flags.writeable = False  # shared by every caller through the cache
-        rounds.append(arrays)
+        rounds.append((p, t, np.concatenate((p, t, p)) * n + np.concatenate((p, t, t)),
+                       np.concatenate((p, t, p, t)) * n + np.concatenate((p, t, t, p))))
         players = players[:1] + players[-1:] + players[1:-1]
-    return tuple(rounds)
-
-
-@functools.cache
-def solver_layout(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only arrays the eigensolver reuses at size n, built on first use:
-    the identity, ``arange(n)``, the row and the column indices of the
-    entries above the diagonal, and the flat positions (row * n + column) of
-    those entries, then of their mirrors below it."""
-    i, j = np.triu_indices(n, 1)
-    arrays = (np.eye(n), np.arange(n), i, j, np.concatenate((i * n + j, j * n + i)))
-    for x in arrays:
+    for x in arrays + [y for r in rounds for y in r]:
         x.flags.writeable = False  # shared by every caller through the cache
-    return arrays
+    return (*arrays, tuple(rounds))
 
 
-def _sweep(a: np.ndarray, v: np.ndarray, eye: np.ndarray
+def _sweep(a: np.ndarray, v: np.ndarray, eye: np.ndarray, rounds: tuple
            ) -> tuple[np.ndarray, np.ndarray]:
     """One round-robin sweep: each round's disjoint rotations as one
     orthogonal r, each angle the inner one (|phi| <= pi/4) that zeroes its
     pair; a <- r.T a r, v <- v r."""
-    for p, _, read, write in round_robin(len(a)):
+    for p, _, read, write in rounds:
         k = len(p)
         entries = a.take(read)
         app, att, apt = entries[:k], entries[k:2 * k], entries[2 * k:]
@@ -216,7 +206,7 @@ def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
     so a chain of starts, each the last result, cannot drift.
     """
     n = a.shape[0]
-    eye, _, rows, cols, off = solver_layout(n)
+    eye, _, rows, cols, off, rounds = solver_layout(n)
     e = binade(a)
     a = np.ldexp(a, -e)
     if start is None:
@@ -244,7 +234,7 @@ def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
         if (step2 := (y := b.take(off)).dot(y)) <= CONTRACTION[min(passes, 2)] ** 2 * off2:
             a, v, x, off2 = b, v.dot(w), y, step2
         else:
-            a, v = _sweep(a, v, eye)
+            a, v = _sweep(a, v, eye, rounds)
             off2 = (x := a.take(off)).dot(x)
         passes += 1
     return np.ldexp(a.diagonal(), e), v.T

@@ -206,7 +206,7 @@ class SpectralFunction:
                 return np.array(lam, dtype=float)
             if self.kind == "power" and self.exponent:
                 return float(self.exponent) * np.log(np.abs(self.check_domain(lam)))
-            w = np.abs(function_values(self, lam))
+            w = np.abs(self.values(lam))
             return np.log(w / (w.max() or 1.0))
 
     def flow_log_weights(self, lam, times: np.ndarray) -> list[np.ndarray]:
@@ -220,8 +220,13 @@ class SpectralFunction:
                 signs = np.sign(lam) ** float(self.exponent) if self.exponent else 1.0
                 return [signs * np.copysign(np.exp(logs + math.log(abs(t))), t) if t
                         else 0.0 * lam for t in times.tolist()]
-            vals = function_values(self, lam)
+            vals = self.values(lam)
             return [t * vals for t in times]
+
+    def values(self, lam) -> np.ndarray:
+        """f on a spectrum inside its domain (``check_domain``), as floats: the
+        unchecked core of ``function_values``, for spectra the caller computed."""
+        return np.asarray(self(self.check_domain(lam)), dtype=float)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -242,8 +247,9 @@ class SpectralFunction:
 
 
 def function_values(f: SpectralFunction, lam) -> np.ndarray:
-    """Evaluate ``f`` on a spectrum inside its domain; see ``SpectralFunction.check_domain``."""
-    return np.asarray(f(f.check_domain(lam)), dtype=float)
+    """Evaluate ``f`` on a spectrum: finite, nonempty and 1-d (ValueError
+    otherwise), inside the domain of ``f``; see ``SpectralFunction.check_domain``."""
+    return f.values(as_vector(lam, "spectrum"))
 
 
 def apply_function(s, f: SpectralFunction) -> np.ndarray:
@@ -258,7 +264,7 @@ def apply_function(s, f: SpectralFunction) -> np.ndarray:
         return a
     lam, q = kernels.jacobi_eigensystem(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        fs = symmetrize((q.T * function_values(f, lam)) @ q)
+        fs = symmetrize((q.T * f.values(lam)) @ q)
     if not np.isfinite(fs).all():
         raise DomainViolation(f"{f.kind} of this matrix overflows double precision")
     return fs

@@ -1,7 +1,7 @@
 """Spectral polytopes and the diagonal-of-conjugates map.
 
-For a symmetric matrix with simple spectrum lam and orthonormal eigenvector
-rows q, the squared eigenvector matrix sends the spectrum to the point
+For a symmetric matrix with spectrum lam and orthonormal eigenvector rows q,
+the squared eigenvector matrix sends the spectrum to the point
 
     p_i = sum_k lam_k * q[i, k]**2,
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NotIrreducible, TooLarge
-from .linalg import as_spectrum, as_symmetric, as_vector, spectral_decompose
+from .linalg import as_spectrum, as_symmetric, as_vector, eigensystem
 
 MINOR_TOL = 1e-10
 FEASIBILITY_TOL = 1e-8
@@ -83,10 +83,11 @@ def bfr_map(s) -> np.ndarray:
 
     Algebraically this is the diagonal of the matrix, reassembled through the
     spectral data; it is invariant, exactly in floating point, under any sign
-    flips of the eigenvector rows, because only squares of entries enter.
+    flips of the eigenvector rows, because only squares of entries enter, and
+    under any choice of basis inside an eigenspace, so ties need no gate.
     """
-    dec = spectral_decompose(s)
-    return dec.lam @ (dec.q * dec.q)
+    lam, q = eigensystem(s)
+    return lam @ (q * q)
 
 
 def accessible_vertices(s) -> VertexSet:

@@ -32,33 +32,41 @@ def as_time_grid(times) -> np.ndarray:
 
 
 @dataclass
-class Trajectory:
-    """A sampled matrix path: strictly increasing times, one finite state per time."""
+class SampledPath:
+    """A sampled path: strictly increasing times, one state per time.  Each
+    subclass checks its states after these two rules and says what ``n`` is."""
 
     times: np.ndarray
-    states: list[np.ndarray]
+    states: list
 
     def __post_init__(self):
         self.times = as_time_grid(self.times)
         if len(self.times) != len(self.states):
             raise ValueError("times and states must align one to one")
-        n = self.states[0].shape[0]
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    @property
+    def final(self):
+        return self.states[-1]
+
+
+class Trajectory(SampledPath):
+    """A sampled matrix path: strictly increasing times, one finite state per time."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        n = self.n
         for state in self.states:
             if state.shape != (n, n):
                 raise ValueError("all states must share one square shape")
             if not np.isfinite(state).all():
                 raise ValueError("trajectory states must be finite")
 
-    def __len__(self) -> int:
-        return len(self.states)
-
     @property
     def n(self) -> int:
         return self.states[0].shape[0]
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def trusted(cls, **fields):

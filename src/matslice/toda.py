@@ -32,14 +32,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainViolation, NotJacobi, NotTridiagonal
-from .linalg import (
-    SpectralFunction,
-    as_symmetric,
-    as_vector,
-    eigensystem,
-    function_values,
-)
-from .slices import Trajectory, as_time_grid, trusted
+from .linalg import SpectralFunction, as_symmetric, as_vector, eigensystem
+from .slices import SampledPath, Trajectory, as_time_grid, trusted
 
 CONVERGED_RTOL = 1e-6
 BOND_RTOL = 1e-8  # a bond at or below this times ||S|| counts as broken
@@ -86,30 +80,17 @@ class FlowConfig:
         _check_span(self.t_final, self.dt)
 
 
-@dataclass
-class ParticleTrajectory:
+class ParticleTrajectory(SampledPath):
     """Sampled particle path: strictly increasing times, one state per time."""
 
-    times: np.ndarray
-    states: list[TodaState]
-
     def __post_init__(self):
-        self.times = as_time_grid(self.times)
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must align one to one")
-        if any(state.n != self.states[0].n for state in self.states):
+        super().__post_init__()
+        if any(state.n != self.n for state in self.states):
             raise ValueError("all states must share one particle count")
-
-    def __len__(self) -> int:
-        return len(self.states)
 
     @property
     def n(self) -> int:
         return self.states[0].n
-
-    @property
-    def final(self) -> TodaState:
-        return self.states[-1]
 
 
 @dataclass
@@ -207,7 +188,7 @@ def _field(g: SpectralFunction, n: int):
     the first is ``kernels.jacobi_eigensystem``, cold and memoized.  RK4 stages
     differ by O(dt), so the eigensolver finishes by Cayley steps.
     """
-    sigma, eye = kernels.skew_signs(n), kernels.solver_layout(n)[0]
+    sigma, eye = kernels.skew_signs(n), np.eye(n)
     b, c = np.empty((2, n, n))  # g(a) * sigma and a @ b, reused by every call
     ct = c.T
 
@@ -232,7 +213,7 @@ def _field(g: SpectralFunction, n: int):
         nonlocal basis
         lam, basis = (kernels.jacobi_eigensystem(a) if basis is None
                       else kernels.jacobi_unordered(a, basis))
-        return lax(a, (basis.T * function_values(g, lam)).dot(basis), out)
+        return lax(a, (basis.T * g.values(lam)).dot(basis), out)
 
     return field
 

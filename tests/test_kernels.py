@@ -153,10 +153,12 @@ def test_skew_part_is_the_strict_lower_triangle_mirrored(kind, n):
     assert got.tobytes() == want.tobytes()
 
 
-# every per-size table shared through functools.cache: (builder, its arrays)
+# every per-size table shared through functools.cache: (builder, its arrays);
+# round_robin is the sweep schedule, the last entry of solver_layout
 CACHED_TABLES = {
-    "round_robin": (kernels.round_robin, lambda rounds: [x for r in rounds for x in r]),
-    "solver_layout": (kernels.solver_layout, list),
+    "round_robin": (lambda n: kernels.solver_layout(n)[-1],
+                    lambda rounds: [x for r in rounds for x in r]),
+    "solver_layout": (kernels.solver_layout, lambda layout: list(layout[:-1])),
     "skew_signs": (kernels.skew_signs, lambda x: [x]),
     "polytope._sum_rows": (polytope._sum_rows, lambda x: [x]),
 }
@@ -431,7 +433,7 @@ def reference_unordered(a, start=None):
     a step that leaves more than 0.9 of that norm in the first two passes,
     or more than half of it in a later one, gives way to one sweep."""
     n = a.shape[0]
-    eye, _, rows, cols, off = kernels.solver_layout(n)
+    eye, _, rows, cols, off, rounds = kernels.solver_layout(n)
     e = kernels.binade(a)
     a = np.ldexp(a, -e)
     if start is None:
@@ -457,7 +459,7 @@ def reference_unordered(a, start=None):
         if (y := b.take(off)) @ y <= (ratio * ratio) * off2:
             a, v = b, v @ w
         else:
-            a, v = kernels._sweep(a, v, eye)
+            a, v = kernels._sweep(a, v, eye, rounds)
         passes += 1
     return np.ldexp(a.diagonal(), e), v.T
 

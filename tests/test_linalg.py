@@ -162,7 +162,7 @@ def test_eigensystem_matches_lapack_at_sizes(n):
 def test_round_robin_rounds_are_disjoint_and_sweeps_cover_every_pair():
     for n in range(2, 34):
         seen = []
-        for p, t, *_ in kernels.round_robin(n):
+        for p, t, *_ in kernels.solver_layout(n)[-1]:
             touched = np.concatenate((p, t))
             assert len(set(touched.tolist())) == len(touched), n  # disjoint
             assert np.all(p < t) and touched.max() < n, n
@@ -300,6 +300,17 @@ def test_function_values_each_kind():
     npt.assert_allclose(
         function_values(SpectralFunction.exp(), -2.0 * lam),
         np.exp([-8.0, -2.0]))
+
+
+@pytest.mark.parametrize("lam", [[np.nan, 1.0], [1.0, np.inf], [[4.0, 1.0]], []])
+@pytest.mark.parametrize("kind", ["identity", "log", "exp", "power", "polynomial"])
+def test_function_values_refuses_a_spectrum_that_is_not_finite_and_1d(kind, lam):
+    # log on [nan, 1.0] used to return [nan, 0.], the domain check passing nan
+    f = {"identity": SpectralFunction.identity(), "log": SpectralFunction.log(),
+         "exp": SpectralFunction.exp(), "power": SpectralFunction.power(Fraction(1, 2)),
+         "polynomial": SpectralFunction.polynomial([1.0, 2.0])}[kind]
+    with pytest.raises(ValueError, match="spectrum must be"):
+        function_values(f, lam)
 
 
 def test_function_domain_errors():

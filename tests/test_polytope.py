@@ -91,6 +91,15 @@ def test_bfr_is_the_diagonal_in_reverse():
         npt.assert_allclose(bfr_map(s), np.diag(s), atol=1e-10 * maxabs(s))
 
 
+def test_bfr_answers_degenerate_spectra():
+    # sum_k lam_k q_ki^2 does not depend on the basis inside an eigenspace,
+    # so a tie in the spectrum does not stop the map (it raised DegenerateSpectrum)
+    d = np.diag([2.0, 2.0, 1.0])
+    q = random_orthogonal(3, np.random.default_rng(739))
+    for s in (d, q.T @ d @ q):
+        npt.assert_allclose(bfr_map(s), np.diag(s), rtol=0, atol=1e-10 * kernels.frobenius(s))
+
+
 def test_bfr_sign_invariance_is_exact():
     # squaring kills eigenvector sign freedom bit for bit
     rng = np.random.default_rng(719)

@@ -117,9 +117,9 @@ def test_functional_large_powers_match_plain_steps():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: through the eigenbasis, x^20 at n = 32 amplifies the "
-    "eigenvector roundoff; it is off by ~1e-2 * ||J|| where 20 QR steps are "
-    "accurate to ~4e-14 * ||J||"))
+    "ROADMAP item 13, the LR step in the band, closes this: through the eigenbasis, "
+    "x^20 at n = 32 amplifies the eigenvector roundoff; it is off by ~1e-2 * ||J|| "
+    "where 20 QR steps are accurate to ~4e-14 * ||J||"))
 def test_functional_power_twenty_at_n32_matches_plain_steps():
     # weights spread over 17^20 ~ 4e24; drawn as the command line draws
     # random Jacobi matrices.  Once this passes, drop the xfail marker.
