@@ -6,7 +6,8 @@ Python alike.  All permutation and bond indices are 1-based in files (the
 Python API is 0-based throughout), and only this module shifts them.  Floats
 are written with repr precision (%.17g in CSV) so a read-back reproduces the
 array bit for bit; writers emit keys in a fixed order so identical inputs give
-byte-identical files.
+byte-identical files.  Each JSON document is one line, compact, as the C
+encoder of ``json`` writes it; ``python -m json.tool FILE`` shows it indented.
 
 Every reader raises InvalidFormat for any malformed document: invalid JSON
 or CSV, a missing key or column, a value of the wrong type, a non-finite
@@ -89,8 +90,9 @@ def _build(cls, **fields):
 
 def _write_json(doc: dict, path_or_file):
     """Encode first: a non-finite number, which the readers refuse, raises
-    ValueError before anything reaches disk."""
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    ValueError before anything reaches disk.  No ``indent``: it sends the
+    document through json's pure-Python encoder, 1.7x slower at n = 32."""
+    text = json.dumps(doc, allow_nan=False)
     with _opened(path_or_file, "w") as fh:
         fh.write(text + "\n")
 

@@ -186,7 +186,8 @@ def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
     iterate.
 
     Works on a / 2^e until the off-diagonal norm drops below
-    ``1e-13 * ||a||``, at most 50 passes.  A pass takes, for every pair
+    ``1e-13 * ||a||``, at most 50 passes; past them an ArithmeticError names
+    the passes and the norm reached.  A pass takes, for every pair
     p < t at once, the inner angle phi (|phi| <= pi/4) that zeroes the pair
     in its own 2 x 2 block, the angle a sweep takes, and applies them all as
     one Cayley transform a <- w.T a w, v <- v w, w = (I - g/2)^-1 (I + g/2)
@@ -223,7 +224,10 @@ def jacobi_unordered(a: np.ndarray, start: np.ndarray | None = None
     passes = 0
     while off2 > tol2:
         if passes >= _MAX_SWEEPS:
-            raise ArithmeticError("Jacobi eigensolver failed to converge")
+            raise ArithmeticError(
+                f"Jacobi eigensolver failed to converge: passes {passes}, off-diagonal"
+                f" norm {JACOBI_SWEEP_RTOL * math.sqrt(off2 / tol2):.3g} * ||a||,"
+                f" target {JACOBI_SWEEP_RTOL:g} * ||a||")
         d = a.diagonal()
         gap = d[cols] - d[rows]
         half = np.tan(0.25 * np.arctan2(x[:m] * np.copysign(2.0, gap), np.abs(gap)))

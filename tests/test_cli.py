@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from fractions import Fraction
 
@@ -390,8 +391,16 @@ def test_eigensolver_pass_cap_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(kernels, "_MAX_SWEEPS", 1)
     assert run("step", "--in", src, "--f", "pow:2", "--out", tmp_path / "out.json") == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert json.loads(line) == {"error": "ArithmeticError",
-                                "detail": "Jacobi eigensolver failed to converge"}
+    err = json.loads(line)
+    assert list(err) == ["error", "detail"] and err["error"] == "ArithmeticError"
+    # the margin: passes taken, off-diagonal norm reached and target, both relative to ||a||
+    found = re.fullmatch(r"Jacobi eigensolver failed to converge: passes (\d+), off-diagonal"
+                         r" norm (\S+) \* \|\|a\|\|, target (\S+) \* \|\|a\|\|", err["detail"])
+    assert found, err["detail"]
+    passes, reached, target = int(found[1]), float(found[2]), float(found[3])
+    assert passes == 1 and target == kernels.JACOBI_SWEEP_RTOL
+    s = read_matrix(src)
+    assert target < reached < kernels.offdiag_norm(s) / kernels.frobenius(s)  # one pass contracts
     assert not (tmp_path / "out.json").exists()
 
 

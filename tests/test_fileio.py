@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -337,6 +338,61 @@ def test_csv_writers_match_the_per_cell_reference_bytewise():
     write_particle_csv(ptraj, buf)
     rows = [[t, *s.x, *s.y, hamiltonian(s)] for t, s in zip(ptraj.times, ptraj.states)]
     assert buf.getvalue() == per_cell_csv("t x1 x2 x3 y1 y2 y3 H".split(), rows)
+
+
+# Both ends of the double range, the subnormal and normal edges, both zeros
+# and two values with no short decimal form.
+RANGE_EDGES = [5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+               0.0, -0.0, 0.1, 1 / 3, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def test_point_round_trip_is_bitwise_at_the_edges_of_the_double_range():
+    # tobytes, not array_equal: array_equal counts -0.0 and 0.0 as equal
+    p = np.array(RANGE_EDGES)
+    back, text = roundtrip(write_point, read_point, p)
+    assert back.tobytes() == p.tobytes()
+    assert text == ('{"point": [5e-324, -5e-324, 2.2250738585072014e-308, '
+                    '-2.2250738585072014e-308, 0.0, -0.0, 0.1, 0.3333333333333333, '
+                    '1.7976931348623157e+308, -1.7976931348623157e+308]}\n')
+
+
+def test_trajectory_csv_round_trip_is_bitwise_at_the_edges_of_the_double_range():
+    # strictly increasing, as sample times must be: -0.0 is the one zero
+    times = sorted(v for v in RANGE_EDGES if math.copysign(1.0, v) < 0.0 or v != 0.0)
+    cycle = RANGE_EDGES * 2
+    states = [np.reshape(cycle[k:k + 4], (2, 2)) for k in range(len(times))]
+    back, _ = roundtrip(write_trajectory_csv, read_trajectory_csv,
+                        Trajectory(times=times, states=states))
+    assert back.times.tobytes() == np.array(times).tobytes()
+    assert np.array(back.states).tobytes() == np.array(states).tobytes()
+
+
+# --------------------------------------------------------------- JSON layout
+
+def test_a_json_document_is_one_compact_line():
+    buf = io.StringIO()
+    write_matrix([[1.0, 2.0], [2.0, -0.0]], buf)
+    assert buf.getvalue() == '{"n": 2, "data": [1.0, 2.0, 2.0, -0.0]}\n'
+
+
+def test_every_json_writer_writes_one_line():
+    rng = np.random.default_rng(827)
+    j = np.diag([1.0, 3.0, 2.0]) + np.diag([0.01, 0.01], 1) + np.diag([0.01, 0.01], -1)
+    documents = {
+        write_matrix: random_symmetric(4, rng),
+        write_moser: MoserCoordinates(lam=np.array([3.0, 1.0]), w=np.array([0.6, 0.8])),
+        write_point: np.array([1.5, -0.25, 3.0]),
+        write_toda_state: TodaState(x=np.array([0.25, -0.25]), y=np.array([1.0, -1.0])),
+        write_vertex_set: accessible_vertices(random_jacobi(3, rng, spectrum=[4.0, 2.0, 1.0])),
+        write_report: {"converged": True, "steps": 12, "nested": {"order": [1, 2]}},
+        write_convergence_report: convergence_diagnostics(iterate_qr(j, 60)),
+    }
+    for write, value in documents.items():
+        buf = io.StringIO()
+        write(value, buf)
+        text = buf.getvalue()
+        assert text.endswith("\n") and text.count("\n") == 1, write.__name__
+        assert isinstance(json.loads(text), dict)
 
 
 # ------------------------------------------------------------------- reports
