@@ -18,7 +18,7 @@ class DegenerateSpectrum(MatSliceError):
 
 
 class DomainViolation(MatSliceError):
-    """A scalar function was evaluated outside its admissible spectral domain."""
+    """A scalar function left its spectral domain, or a result overflows double precision."""
 
 
 class DimensionMismatch(MatSliceError):

@@ -90,8 +90,6 @@ def random_invertible_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
         s = random_symmetric(n, rng)
         lam, _ = eigensystem(s)
         top = float(np.abs(lam).max())
-        if top == 0.0:
-            continue
         if float(np.abs(lam).min()) > 0.05 * top and np.all(
             np.diff(np.sort(lam)) > _GAP_FLOOR * top
         ):

@@ -248,8 +248,10 @@ class SpectralFunction:
 
 def function_values(f: SpectralFunction, lam) -> np.ndarray:
     """Evaluate ``f`` on a spectrum: finite, nonempty and 1-d (ValueError
-    otherwise), inside the domain of ``f``; see ``SpectralFunction.check_domain``."""
-    return f.values(as_vector(lam, "spectrum"))
+    otherwise), inside the domain of ``f`` (``SpectralFunction.check_domain``) and
+    finite (DomainViolation when a value overflows)."""
+    lam = as_vector(lam, "spectrum")
+    return kernels.in_double_range(f"{f.kind} of this spectrum", lambda: f.values(lam))
 
 
 def apply_function(s, f: SpectralFunction) -> np.ndarray:
@@ -263,11 +265,8 @@ def apply_function(s, f: SpectralFunction) -> np.ndarray:
     if f.kind == "identity":
         return a
     lam, q = kernels.jacobi_eigensystem(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fs = symmetrize((q.T * f.values(lam)) @ q)
-    if not np.isfinite(fs).all():
-        raise DomainViolation(f"{f.kind} of this matrix overflows double precision")
-    return fs
+    return kernels.in_double_range(f"{f.kind} of this matrix",
+                                   lambda: symmetrize((q.T * f.values(lam)) @ q))
 
 
 def skew_part(m) -> np.ndarray:
@@ -277,15 +276,16 @@ def skew_part(m) -> np.ndarray:
 
 
 def upper_part(m) -> np.ndarray:
-    """Upper-triangular complement ``m - skew_part(m)`` (diagonal included)."""
+    """Upper-triangular complement ``m - skew_part(m)`` (diagonal included);
+    DomainViolation when an entry overflows."""
     a = as_square(m)
-    return a - kernels.skew_part(a)
+    return kernels.in_double_range("the upper part", lambda: a - kernels.skew_part(a))
 
 
 def commutator(a, b) -> np.ndarray:
-    """``a @ b - b @ a``; raises DimensionMismatch for incompatible shapes."""
+    """``a @ b - b @ a``: DimensionMismatch for unequal shapes, DomainViolation on overflow."""
     a = as_square(a)
     b_arr = as_square(b)
     if a.shape != b_arr.shape:
         raise DimensionMismatch(f"cannot commute shapes {a.shape} and {b_arr.shape}")
-    return a @ b_arr - b_arr @ a
+    return kernels.in_double_range("the commutator", lambda: a @ b_arr - b_arr @ a)

@@ -255,8 +255,6 @@ def _affine_dim(points: np.ndarray) -> int:
     x = np.ldexp(points, -kernels.binade(points))
     centered = x - x.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
     return int(np.sum(sv > 1e-9 * sv[0]))
 
 
@@ -286,5 +284,5 @@ def project_sum_zero(points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
     basis = sum_zero_basis(n)
-    centered = pts - pts.mean(axis=1, keepdims=True)
-    return centered @ basis.T
+    return kernels.in_double_range("the projection of these points",
+                                   lambda: (pts - pts.mean(axis=1, keepdims=True)) @ basis.T)

@@ -63,7 +63,8 @@ class TodaState:
     def centered(self) -> "TodaState":
         e = kernels.binade(self.x)  # the mean of x / 2^e, scaled back, cannot overflow
         mean = np.ldexp(np.ldexp(self.x, -e).mean(), e)
-        return trusted(TodaState, x=self.x - mean, y=self.y.copy())
+        x = kernels.in_double_range("centering this state", lambda: self.x - mean)
+        return trusted(TodaState, x=x, y=self.y.copy())
 
 
 @dataclass
@@ -105,21 +106,16 @@ def hamiltonian(state: TodaState) -> float:
     """Total energy: kinetic plus exponential nearest-neighbor potential
     (DomainViolation when it overflows)."""
     x, y = state.x, state.y
-    with np.errstate(over="ignore"):
-        h = float(0.5 * np.sum(y * y) + np.sum(np.exp(x[:-1] - x[1:])))
-    if h == math.inf:
-        raise DomainViolation("the energy of this state overflows double precision")
-    return h
+    return float(kernels.in_double_range(
+        "the energy of this state", lambda: 0.5 * (y * y).sum() + np.exp(x[:-1] - x[1:]).sum()))
 
 
 def flaschka(state: TodaState) -> np.ndarray:
     """Jacobi matrix of a particle state: diag -y/2, superdiag exp(gap/2)/2
     (DomainViolation when a bond overflows)."""
     x = state.x
-    with np.errstate(over="ignore"):
-        bonds = 0.5 * np.exp(0.5 * (x[:-1] - x[1:]))
-    if not bonds.max() < math.inf:
-        raise DomainViolation("the Flaschka map of this state overflows double precision")
+    bonds = kernels.in_double_range("the Flaschka map of this state",
+                                    lambda: 0.5 * np.exp(0.5 * (x[:-1] - x[1:])))
     return kernels.tridiagonal(-0.5 * state.y, bonds)
 
 
@@ -141,11 +137,8 @@ def particle_field(state: TodaState) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of Hamilton's equations for the particle system
     (DomainViolation when a force overflows)."""
     z = np.vstack([state.x, state.y])
-    with np.errstate(over="ignore", invalid="ignore"):
-        dz = _hamilton_field(state.n)(z, np.empty_like(z))
-    if not np.isfinite(dz).all():
-        raise DomainViolation("the particle field of this state overflows double precision")
-    return tuple(dz)
+    return tuple(kernels.in_double_range("the particle field of this state",
+                                         lambda: _hamilton_field(state.n)(z, np.empty_like(z))))
 
 
 def _hamilton_field(n: int):
@@ -165,11 +158,8 @@ def toda_field(s, g: SpectralFunction) -> np.ndarray:
     """Lax vector field [s, skew_part(g(s))]; g must be defined on the spectrum
     (DomainViolation otherwise, and when the field overflows)."""
     a = as_symmetric(s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _field(g, len(a))(a, np.empty_like(a))
-    if not np.isfinite(out).all():
-        raise DomainViolation(f"the Lax field of {g.kind} overflows double precision")
-    return out
+    return kernels.in_double_range(f"the Lax field of {g.kind}",
+                                   lambda: _field(g, len(a))(a, np.empty_like(a)))
 
 
 def _field(g: SpectralFunction, n: int):

@@ -357,6 +357,23 @@ def test_failures_past_the_double_range_name_their_cause(tmp_path, capsys, argv,
     assert json.loads(line) == {"error": error, "detail": detail}
 
 
+PAST = np.array([[1.7e308, 1e308], [1e308, -1.7e308]])  # eigenvalues and R diagonal +-1.97e308
+
+
+@pytest.mark.parametrize("command", ["bfr", "step", "factor", "moser"])
+def test_results_past_the_double_range_exit_one(tmp_path, capsys, command):
+    # bfr, step and factor exited 1 as InvalidInput ("Out of range float
+    # values are not JSON compliant"), moser as DegenerateSpectrum ("gap inf")
+    src = tmp_path / "m.json"
+    write_matrix(PAST, src)
+    out = (["--out-q", tmp_path / "q.json", "--out-r", tmp_path / "r.json"] if command == "factor"
+           else ["--out", tmp_path / "out.json"])
+    assert run(command, "--in", src, *out) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "DomainViolation"
+    assert "overflows double precision" in json.loads(line)["detail"]
+
+
 @pytest.mark.parametrize("n", range(11, 24))
 def test_random_spectrum_past_its_draws_exits_one(tmp_path, capsys, n):
     # 1000 rejection draws of 11 or more gaps >= 0.25 in [-3, 3] all fail at

@@ -283,6 +283,9 @@ MALFORMED = {
                        vertex_doc(vertices=[{"pi": [True, 2], "point": [2.0, 1.0]}])),
     "matrix entry beyond double range": (read_matrix,
                                          '{"n": 1, "data": [1' + "0" * 400 + "]}"),
+    # a JSON number past the double range parses to inf: only the finiteness check refuses it
+    "matrix entry 1e999": (read_matrix, '{"n": 2, "data": [1e999, 0, 0, 1]}'),
+    "point entry -1e999": (read_point, '{"point": [1.0, -1e999]}'),
     "trajectory state NaN": (read_trajectory_csv, "t,a11,a12,a21,a22\n0,1,nan,0,1\n"),
 }
 

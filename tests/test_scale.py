@@ -29,13 +29,16 @@ from matslice import (
     as_symmetric,
     as_time_grid,
     bfr_map,
+    commutator,
     convergence_diagnostics,
     default_rng,
     descending_spectrum,
     detect_clusters,
     eigensystem,
+    flow_factorized,
     flow_integrated,
     frobenius,
+    function_values,
     hull_member,
     is_irreducible,
     is_jacobi,
@@ -46,6 +49,7 @@ from matslice import (
     moser_reconstruct,
     offdiag_norm,
     permutohedron_vertices,
+    project_sum_zero,
     qr_factor,
     qr_step,
     random_jacobi,
@@ -54,6 +58,7 @@ from matslice import (
     slice_point,
     spectral_decompose,
     spectral_polytope,
+    upper_part,
 )
 
 S3 = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
@@ -357,6 +362,41 @@ def test_every_answer_at_the_top_of_the_double_range(call):
     # each threshold formed ||S|| first, which overflowed ("math range error")
     # though 1e-12 * ||S|| is a double; a power-of-two scaling is exact
     assert_scaled(call(TOP), call(np.ldexp(TOP, -1000)), 1000)
+
+
+# A finite matrix whose eigenvalues and R diagonal, about +-1.97e308, are
+# not doubles: the scale-back of lam / 2^e and R / 2^e overflowed to +-inf
+# (the CLI then printed "Out of range float values are not JSON compliant")
+PAST = np.array([[1.7e308, 1e308], [1e308, -1.7e308]])
+PAST_THE_RANGE = [
+    ("eigensystem", lambda: eigensystem(PAST)),
+    ("spectral_decompose", lambda: spectral_decompose(PAST)),
+    ("qr_factor", lambda: qr_factor(PAST)),
+    ("qr_step", lambda: qr_step(PAST)),
+    ("iterate_qr", lambda: iterate_qr(PAST, 1)),
+    ("bfr_map", lambda: bfr_map(PAST)),
+    ("slice_point", lambda: slice_point(PAST, [1.0, 2.0])),
+    ("flow_factorized", lambda: flow_factorized(PAST, SpectralFunction.log(), 0.0)),
+    ("accessible_vertices", lambda: accessible_vertices(PAST)),
+    ("moser_coordinates", lambda: moser_coordinates(PAST)),
+    ("function_values exp", lambda: function_values(SpectralFunction.exp(), [710.0, 1.0])),
+    ("function_values pow:2",
+     lambda: function_values(SpectralFunction.power(2), [1e200, 1.0])),
+    ("commutator", lambda: commutator([[1e200, 1e200], [0.0, 1.0]], [[1e200, 0.0], [1e200, 1.0]])),
+    ("upper_part", lambda: upper_part([[1.7e308, 1.7e308], [1.7e308, 1.0]])),
+    ("project_sum_zero", lambda: project_sum_zero([[1.7e308, -1.7e308, 1.7e308]])),
+    ("TodaState.centered",
+     lambda: TodaState(x=[1.7e308, 1.7e308, -1.7e308], y=[0.0, 0.0, 0.0]).centered()),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in PAST_THE_RANGE],
+                         ids=[name for name, _ in PAST_THE_RANGE])
+def test_results_past_the_double_range_are_refused(call):
+    # each warned of an overflow, then returned inf or NaN or refused for
+    # another cause (DegenerateSpectrum: "eigenvalue gap inf")
+    with pytest.raises(DomainViolation, match="overflows double precision"):
+        call()
 
 
 TOP_SPECTRA = [np.array([1e308, -1e308]), np.array([1.5e308, 1e308, 9e307])]
